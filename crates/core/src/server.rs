@@ -228,7 +228,8 @@ pub fn capability_key(server: ServerId) -> u64 {
 }
 
 /// A consistent snapshot of one transaction's proof-evaluation inputs,
-/// extracted on the server thread and safe to ship to a worker.
+/// taken by the protocol plane so a batched server round can evaluate it
+/// later, together with the round's other proofs, in one [`BatchEval`].
 ///
 /// All payloads are `Arc`-shared with the server's transaction state, so
 /// taking a snapshot is refcount traffic, not a deep copy.
@@ -242,16 +243,16 @@ pub struct EvalSnapshot {
     pub queries: Vec<(usize, Arc<QuerySpec>)>,
 }
 
-/// The shareable data plane of one cloud server: everything proof
-/// evaluation touches, behind interior mutability so a runtime worker pool
-/// can evaluate proofs for distinct transactions concurrently while the
-/// server thread keeps exclusive ownership of the protocol plane (locks
-/// decisions, WAL forces, 2PVC votes, per-transaction state).
+/// The data plane of one cloud server: everything proof evaluation touches
+/// (catalog, CAs, engine, installed versions, proof cache), kept apart
+/// from the protocol plane that [`ServerCore`] owns (lock decisions, WAL
+/// forces, 2PVC votes, per-transaction state).
 ///
-/// In the single-threaded simulator the same structure is driven from one
-/// thread through [`ServerCore`]'s `&mut self` handlers; the locks below
-/// are then uncontended and behavior is bit-identical to the pre-split
-/// code.
+/// All methods take `&self` behind interior mutability, so a runtime can
+/// hold the handle from [`ServerCore::data_plane`] next to the core and
+/// evaluate a batched round's proofs through [`DataPlane::begin_batch`].
+/// Every runtime, like the simulator, calls it from the server's own
+/// thread, so the locks below are never contended.
 pub struct DataPlane {
     id: ServerId,
     catalog: SharedCatalog,
@@ -885,16 +886,16 @@ impl BatchEval<'_> {
 ///
 /// Internally split into the protocol plane (per-transaction state, write
 /// sets, participant state machines, WAL — owned exclusively by this
-/// struct) and a shareable [`DataPlane`] (policy engine, proof cache,
-/// installed versions), so a threaded runtime can dispatch proof
-/// evaluation to workers via [`ServerCore::data_plane`] while all `&mut
-/// self` handlers stay on the server thread.
+/// struct) and a [`DataPlane`] (policy engine, proof cache, installed
+/// versions), so a runtime's batched round can run every message's
+/// protocol half first and then evaluate the round's proofs together via
+/// [`ServerCore::data_plane`].
 pub struct ServerCore<A> {
     id: ServerId,
     data: Arc<DataPlane>,
     variant: CommitVariant,
     store: LocalStore,
-    locks: Arc<ShardedLockManager>,
+    locks: ShardedLockManager,
     /// The concurrency seam: locking takes 2PL locks at query execution;
     /// OCC reads snapshots and validates at the 2PVC vote. Fixed before
     /// traffic; never switched mid-flight.
@@ -938,7 +939,7 @@ impl<A: Clone> ServerCore<A> {
             data: Arc::new(DataPlane::new(id, catalog, resource_map, cas)),
             variant,
             store: LocalStore::new(),
-            locks: Arc::new(ShardedLockManager::new()),
+            locks: ShardedLockManager::new(),
             concurrency: ConcurrencyMode::Locking,
             mvcc: MvccOverlay::new(),
             wal: Wal::new(),
@@ -952,18 +953,11 @@ impl<A: Clone> ServerCore<A> {
     }
 
     /// A shared handle to this server's data plane (proof evaluation,
-    /// policy versions, proof cache). Runtime worker pools evaluate
-    /// through it concurrently with the server thread.
+    /// policy versions, proof cache). Batched server rounds evaluate their
+    /// proofs through it after the round's protocol handling.
     #[must_use]
     pub fn data_plane(&self) -> Arc<DataPlane> {
         Arc::clone(&self.data)
-    }
-
-    /// A shared handle to this server's lock manager, for runtime workers
-    /// executing read-only queries off the server thread.
-    #[must_use]
-    pub fn lock_manager(&self) -> Arc<ShardedLockManager> {
-        Arc::clone(&self.locks)
     }
 
     /// Enables or disables the proof cache (enabled by default). Disabling
@@ -1142,9 +1136,9 @@ impl<A: Clone> ServerCore<A> {
         (truth, versions, proofs)
     }
 
-    /// A snapshot of `txn`'s evaluation inputs for off-thread proof work
+    /// A snapshot of `txn`'s evaluation inputs for deferred proof work
     /// ([`DataPlane::evaluate_snapshot`] on the returned value reproduces
-    /// what [`ServerCore::handle`] would compute inline).
+    /// what [`ServerCore::handle`] would compute directly).
     #[must_use]
     pub fn snapshot_txn(&self, txn: TxnId) -> Option<EvalSnapshot> {
         self.txns.get(&txn).map(|state| EvalSnapshot {
@@ -1156,8 +1150,8 @@ impl<A: Clone> ServerCore<A> {
 
     /// Registers a 2PV contact (the protocol-plane half of
     /// [`Msg::PrepareToValidate`]): creates the transaction if new, records
-    /// `new_query`, and returns the snapshot whose evaluation — inline or
-    /// on a worker — produces the [`Msg::ValidateReply`] body.
+    /// `new_query`, and returns the snapshot whose evaluation produces the
+    /// [`Msg::ValidateReply`] body.
     ///
     /// Returns `None` for a transaction already decided here (a duplicated
     /// or delayed round): registering it again would resurrect ghost state,

@@ -292,12 +292,6 @@ pub struct ClusterConfig {
     pub consistency: ConsistencyLevel,
     /// Commit-protocol logging variant.
     pub variant: CommitVariant,
-    /// Data-plane worker threads per server (proof evaluation off the
-    /// server thread). `None` defers to the `SAFETX_SERVER_WORKERS`
-    /// environment variable, then to `min(4, available_parallelism)`.
-    /// A value of `1` (or `0`) keeps every server fully single-threaded —
-    /// the exact pre-pool behaviour.
-    pub server_workers: Option<usize>,
     /// How long a TM waits for any single protocol reply before treating
     /// the round as failed ([`AbortReason::ServerUnavailable`], or — once a
     /// decision exists — one decision retransmission and then completion
@@ -333,31 +327,12 @@ impl Default for ClusterConfig {
             scheme: ProofScheme::Deferred,
             consistency: ConsistencyLevel::View,
             variant: CommitVariant::Standard,
-            server_workers: None,
             reply_timeout: None,
             server_batch: None,
             wal_sync_cost: None,
             concurrency: None,
         }
     }
-}
-
-/// Resolves the per-server worker count: explicit config, then the
-/// `SAFETX_SERVER_WORKERS` environment variable, then
-/// `min(4, available_parallelism)`.
-fn resolve_workers(config: &ClusterConfig) -> usize {
-    config
-        .server_workers
-        .or_else(|| {
-            std::env::var("SAFETX_SERVER_WORKERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(4))
-                .unwrap_or(1)
-        })
 }
 
 /// Resolves the server-round batch limit: explicit config, then the
@@ -386,57 +361,6 @@ pub fn resolve_batch(config: &ClusterConfig) -> usize {
 #[must_use]
 pub fn resolve_concurrency(config: &ClusterConfig) -> ConcurrencyMode {
     config.concurrency.unwrap_or_else(ConcurrencyMode::from_env)
-}
-
-/// A job shipped to a server's data-plane workers.
-type Job = Box<dyn FnOnce() + Send>;
-
-/// A fixed pool of data-plane helper threads owned by one server thread.
-/// Each worker drains its own queue; jobs are distributed round-robin
-/// (they are uniform in kind — one proof evaluation batch each). Dropping
-/// the pool closes the job channels and joins every worker, so the server
-/// thread never exits (and the cluster's live-thread gauge never reaches
-/// zero) while a proof evaluation is still in flight.
-struct WorkerPool {
-    txs: Vec<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
-    next: std::cell::Cell<usize>,
-}
-
-impl WorkerPool {
-    fn new(workers: usize) -> Self {
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = unbounded::<Job>();
-            txs.push(tx);
-            handles.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job();
-                }
-            }));
-        }
-        WorkerPool {
-            txs,
-            handles,
-            next: std::cell::Cell::new(0),
-        }
-    }
-
-    fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let slot = self.next.get();
-        self.next.set((slot + 1) % self.txs.len());
-        self.txs[slot].send(Box::new(job)).expect("worker alive");
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.txs.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
 }
 
 /// The outcome of one executed transaction plus wall-clock timing.
@@ -539,7 +463,6 @@ pub struct Cluster {
     /// In-doubt resolver threads spawned by [`Cluster::restart_server`].
     resolvers: Mutex<Vec<JoinHandle<()>>>,
     stopping: Arc<AtomicBool>,
-    workers: usize,
     batch: usize,
     /// First global server id owned by this cluster (0 for a standalone
     /// deployment; a shard's offset into the global id space otherwise).
@@ -582,7 +505,6 @@ impl Cluster {
         cas: SharedCas,
         epoch: Instant,
     ) -> Self {
-        let workers = resolve_workers(&config);
         let batch = resolve_batch(&config);
         let concurrency = resolve_concurrency(&config);
         let live_servers = Arc::new(AtomicUsize::new(0));
@@ -622,7 +544,7 @@ impl Cluster {
             let salvage = Arc::clone(&salvage);
             handles.push(Some(std::thread::spawn(move || {
                 let _guard = guard;
-                server_loop(core, rx, my_addr, epoch, workers, batch, net, salvage);
+                server_loop(core, rx, my_addr, epoch, batch, net, salvage);
             })));
         }
 
@@ -640,7 +562,6 @@ impl Cluster {
             decision_log: Arc::new(Mutex::new(Wal::new())),
             resolvers: Mutex::new(Vec::new()),
             stopping: Arc::new(AtomicBool::new(false)),
-            workers,
             batch,
             base: first_server,
         }
@@ -871,10 +792,10 @@ impl Cluster {
         let guard = LiveGuard(self.live_servers.clone());
         let net = Arc::clone(&self.net);
         let salvage = Arc::clone(&self.salvage);
-        let (epoch, workers, batch) = (self.epoch, self.workers, self.batch);
+        let (epoch, batch) = (self.epoch, self.batch);
         let handle = std::thread::spawn(move || {
             let _guard = guard;
-            server_loop(core, rx, my_addr, epoch, workers, batch, net, salvage);
+            server_loop(core, rx, my_addr, epoch, batch, net, salvage);
         });
         self.handles.lock().expect("handles lock")[idx] = Some(handle);
         self.net.note_recovery();
@@ -1407,36 +1328,22 @@ fn forward(outputs: Vec<(Addr, Msg)>, my_addr: &Addr, net: &Net) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn server_loop(
     mut core: ServerCore<Addr>,
     rx: Receiver<Input>,
     my_addr: Addr,
     epoch: Instant,
-    workers: usize,
     batch: usize,
     net: Arc<Net>,
     salvage: Salvage,
 ) {
-    // With fewer than two workers the pool is skipped entirely and every
-    // message runs inline on this thread — the exact pre-pool behaviour.
-    let pool = (workers > 1).then(|| WorkerPool::new(workers));
     let crashed = if batch <= 1 {
         // Message-at-a-time: the exact pre-batching loop.
         loop {
             let Ok(input) = rx.recv() else { break false };
             match input {
                 Input::Proto(from, msg) => {
-                    let now = now_since(epoch);
-                    // The unsafe baseline measures capability-shortcut
-                    // hazards that depend on exact interleavings: keep it
-                    // inline.
-                    match &pool {
-                        Some(pool) if !core.unsafe_baseline() => {
-                            dispatch(&mut core, pool, &my_addr, epoch, now, from, msg, &net);
-                        }
-                        _ => forward(core.handle(now, from, msg), &my_addr, &net),
-                    }
+                    forward(core.handle(now_since(epoch), from, msg), &my_addr, &net);
                 }
                 Input::Configure(f, done) => {
                     f(&mut core);
@@ -1469,7 +1376,7 @@ fn server_loop(
                 }
             }
             if !round.is_empty() {
-                process_round(&mut core, pool.as_ref(), &my_addr, epoch, round, &net);
+                process_round(&mut core, &my_addr, epoch, round, &net);
             }
             match control {
                 None => {}
@@ -1483,9 +1390,6 @@ fn server_loop(
             }
         }
     };
-    // Join in-flight data-plane work first: replies already computed are
-    // "on the wire" and still delivered, like packets leaving a dying host.
-    drop(pool);
     if crashed {
         let Endpoint::Server(id) = my_addr.endpoint else {
             unreachable!("server loops run on server endpoints");
@@ -1499,162 +1403,12 @@ fn server_loop(
     }
 }
 
-/// Splits one message between the server thread (protocol plane: locks,
-/// write sets, WAL, participant state) and the data-plane worker pool
-/// (proof evaluation and the reply it feeds). Messages whose handling is
-/// pure protocol — voting, decisions, recovery — run inline unchanged; so
-/// does anything holding a lock-manager or write-set decision, keeping the
-/// server thread the single serialization point for those.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    core: &mut ServerCore<Addr>,
-    pool: &WorkerPool,
-    my_addr: &Addr,
-    epoch: Instant,
-    now: Timestamp,
-    from: Addr,
-    msg: Msg,
-    net: &Arc<Net>,
-) {
-    match msg {
-        // Query execution with an attached proof (Punctual / Incremental
-        // Punctual): registration, locking and write-set ops stay inline;
-        // on success, the proof is evaluated on a worker, which sends the
-        // QueryDone itself.
-        Msg::ExecQuery {
-            txn,
-            query_index,
-            query,
-            user,
-            credentials,
-            evaluate_proof: true,
-            pin_versions,
-            capabilities,
-        } => {
-            let replies = core.handle(
-                now,
-                from.clone(),
-                Msg::ExecQuery {
-                    txn,
-                    query_index,
-                    query: Arc::clone(&query),
-                    user,
-                    credentials: Arc::clone(&credentials),
-                    evaluate_proof: false,
-                    pin_versions,
-                    capabilities,
-                },
-            );
-            let ok = replies
-                .iter()
-                .any(|(_, m)| matches!(m, Msg::QueryDone { ok: true, .. }));
-            if !ok {
-                // Lock conflict (or unknown failure): the inline reply
-                // already says so; the proof is moot.
-                forward(replies, my_addr, net);
-                return;
-            }
-            let data = core.data_plane();
-            let my_addr = my_addr.clone();
-            let net = Arc::clone(net);
-            pool.submit(move || {
-                let proof = data.evaluate_one(now_since(epoch), user, &credentials, &query);
-                net.send_proto(
-                    &my_addr,
-                    &from,
-                    Msg::QueryDone {
-                        txn,
-                        query_index,
-                        ok: true,
-                        proof: Some(proof),
-                        capability: None,
-                    },
-                );
-            });
-        }
-
-        // 2PV collection (Continuous): the transaction registration is
-        // protocol state and stays inline; the proof re-evaluations — the
-        // round's entire cost — run on a worker.
-        Msg::PrepareToValidate {
-            txn,
-            new_query,
-            user,
-            credentials,
-        } => {
-            let Some(snapshot) =
-                core.register_validation(txn, new_query, user, credentials, from.clone())
-            else {
-                // A duplicated or delayed round for a transaction already
-                // decided here: no reply owed (the coordinator is gone).
-                return;
-            };
-            let data = core.data_plane();
-            let my_addr = my_addr.clone();
-            let net = Arc::clone(net);
-            pool.submit(move || {
-                let (truth, versions, proofs) = data.evaluate_snapshot(now_since(epoch), &snapshot);
-                let reply = ValidationReply {
-                    vote: Vote::Yes,
-                    truth,
-                    versions,
-                    proofs,
-                    conflict: false,
-                };
-                net.send_proto(&my_addr, &from, Msg::ValidateReply { txn, reply });
-            });
-        }
-
-        // Standalone 2PV update round (Global consistency): fast-forward is
-        // a data-plane operation; the re-evaluation goes to a worker.
-        // In-commit updates touch the participant state machine and stay
-        // inline.
-        Msg::Update {
-            txn,
-            targets,
-            in_commit: false,
-        } => {
-            core.data_plane().fast_forward(&targets);
-            let Some(snapshot) = core.snapshot_txn(txn) else {
-                // Same vacuous reply ServerCore::handle produces for a
-                // transaction with no state here.
-                let reply = ValidationReply {
-                    vote: Vote::Yes,
-                    truth: true,
-                    versions: VersionMap::new(),
-                    proofs: Vec::new(),
-                    conflict: false,
-                };
-                net.send_proto(my_addr, &from, Msg::ValidateReply { txn, reply });
-                return;
-            };
-            let data = core.data_plane();
-            let my_addr = my_addr.clone();
-            let net = Arc::clone(net);
-            pool.submit(move || {
-                let (truth, versions, proofs) = data.evaluate_snapshot(now_since(epoch), &snapshot);
-                let reply = ValidationReply {
-                    vote: Vote::Yes,
-                    truth,
-                    versions,
-                    proofs,
-                    conflict: false,
-                };
-                net.send_proto(&my_addr, &from, Msg::ValidateReply { txn, reply });
-            });
-        }
-
-        other => forward(core.handle(now, from, other), my_addr, net),
-    }
-}
-
-/// One proof-evaluation work item deferred out of a batched round. Its
-/// protocol-plane half (registration, locks, write set, WAL) already ran on
-/// the server thread; evaluating the proofs and sending the reply is pure
-/// data-plane work.
+/// One proof evaluation deferred to the end of a batched round. Its
+/// protocol-plane half (registration, locks, write set, WAL) already ran;
+/// the round's tasks are evaluated together as one data-plane batch.
 enum EvalTask {
     /// An `ExecQuery` whose data operations succeeded: evaluate the proof
-    /// and send the `QueryDone`.
+    /// and reply `QueryDone`.
     Query {
         txn: TxnId,
         query_index: usize,
@@ -1664,7 +1418,7 @@ enum EvalTask {
         to: Addr,
     },
     /// A 2PV contact (`PrepareToValidate` or a standalone `Update` round):
-    /// evaluate the snapshot and send the `ValidateReply`.
+    /// evaluate the snapshot and reply `ValidateReply`.
     Snapshot {
         txn: TxnId,
         snapshot: EvalSnapshot,
@@ -1673,23 +1427,21 @@ enum EvalTask {
 }
 
 /// Processes one batched server round: protocol-plane handling for every
-/// message runs inline (in arrival order, under one WAL group so the
-/// round's forced appends coalesce into a single physical sync), the
-/// round's proof evaluations are collected and shipped to the data plane
-/// as **one** batch job sharing policy fetches, credential saturations and
-/// within-round dedup, and replies to the same destination leave as one
-/// coalesced [`Msg::Batch`] send.
+/// message runs first (in arrival order, under one WAL group so the
+/// round's forced appends coalesce into a single physical sync), then the
+/// round's proof evaluations run as **one** data-plane batch sharing policy
+/// fetches, credential saturations and within-round dedup, and every reply
+/// to the same destination leaves as one coalesced [`Msg::Batch`] send.
 ///
 /// The WAL group closes — performing the round's one physical sync —
 /// before any reply is released, so a vote still never outruns the force
-/// it acknowledges. Deferred evaluation replies involve no forces.
+/// it acknowledges. Evaluation replies involve no forces.
 fn process_round(
     core: &mut ServerCore<Addr>,
-    pool: Option<&WorkerPool>,
     my_addr: &Addr,
     epoch: Instant,
     round: Vec<(Addr, Msg)>,
-    net: &Arc<Net>,
+    net: &Net,
 ) {
     let now = now_since(epoch);
     let mut inline: Vec<(Addr, Msg)> = Vec::new();
@@ -1803,16 +1555,10 @@ fn process_round(
         }
     }
     core.end_wal_group();
-    send_coalesced(inline, my_addr, net);
-    if tasks.is_empty() {
-        return;
-    }
-    let data = core.data_plane();
-    let reply_addr = my_addr.clone();
-    let net = Arc::clone(net);
-    let job = move || {
+    let mut outputs = inline;
+    if !tasks.is_empty() {
+        let data = core.data_plane();
         let mut batch = data.begin_batch(now_since(epoch));
-        let mut replies = Vec::with_capacity(tasks.len());
         for task in tasks {
             match task {
                 EvalTask::Query {
@@ -1824,7 +1570,7 @@ fn process_round(
                     to,
                 } => {
                     let proof = batch.evaluate_one(user, &credentials, &query);
-                    replies.push((
+                    outputs.push((
                         to,
                         Msg::QueryDone {
                             txn,
@@ -1837,7 +1583,7 @@ fn process_round(
                 }
                 EvalTask::Snapshot { txn, snapshot, to } => {
                     let (truth, versions, proofs) = batch.evaluate_snapshot(&snapshot);
-                    replies.push((
+                    outputs.push((
                         to,
                         Msg::ValidateReply {
                             txn,
@@ -1853,12 +1599,8 @@ fn process_round(
                 }
             }
         }
-        send_coalesced(replies, &reply_addr, &net);
-    };
-    match pool {
-        Some(pool) => pool.submit(job),
-        None => job(),
     }
+    send_coalesced(outputs, my_addr, net);
 }
 
 /// Sends a round's outputs through the shared coalescing helper, keyed by

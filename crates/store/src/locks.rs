@@ -142,9 +142,9 @@ impl LockManager {
 
 /// Number of independent lock shards in a [`ShardedLockManager`].
 ///
-/// Fixed (not configurable) so the item→shard mapping is stable; 16 shards
-/// keep contention negligible for the worker-pool sizes the runtime spawns
-/// (`SAFETX_SERVER_WORKERS` defaults to `min(4, cores)`).
+/// Fixed (not configurable) so the item→shard mapping is stable. Every
+/// runtime acquires and releases locks on its server thread only, so the
+/// shard mutexes are never contended.
 pub const LOCK_SHARDS: usize = 16;
 
 /// A sharded, internally-synchronized no-wait lock manager.
@@ -152,10 +152,8 @@ pub const LOCK_SHARDS: usize = 16;
 /// Same per-item semantics as [`LockManager`] (shared/exclusive modes,
 /// sole-sharer upgrade, own-exclusive-covers-shared, no-wait conflicts), but
 /// the item space is split across [`LOCK_SHARDS`] independently-locked maps
-/// keyed by a hash of the [`DataItemId`]. Worker threads acquiring locks for
-/// different items proceed in parallel instead of funneling through one map,
-/// and all methods take `&self`, so the manager can be shared behind an
-/// `Arc` without an outer mutex.
+/// keyed by a hash of the [`DataItemId`]. All methods take `&self`, so the
+/// manager needs no outer mutex.
 ///
 /// Since each item maps to exactly one shard, per-item mutual exclusion (the
 /// only invariant the no-wait protocol needs) is preserved: two requests for
