@@ -65,9 +65,7 @@ pub use messages::AddressBook;
 pub use messages::Msg;
 pub use outcome::{AbortReason, TxnOutcome};
 pub use scheme::ProofScheme;
-pub use server::{
-    BatchEval, CloudServerActor, DataPlane, EvalSnapshot, ServerCore, ServerCounters, SharedCas,
-};
+pub use server::{CloudServerActor, DataPlane, ServerCore, ServerCounters, SharedCas};
 pub use tm::TmActor;
 pub use tm::TxnRecord;
 pub use tm_core::{reply_counts_as_dropped, TmConfig, TmCore, TmEffect, TmEvent, TxnTermination};

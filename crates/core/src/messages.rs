@@ -207,7 +207,8 @@ pub enum Msg {
 /// (and one fabric or socket crossing) per destination per round.
 /// Destinations keep first-appearance order; inside an envelope, messages
 /// keep their round order. A destination owed a single message gets it
-/// bare, never wrapped.
+/// bare, never wrapped, and a round of at most one output comes back
+/// untouched without grouping anything.
 ///
 /// # The coalescing-key invariant
 ///
@@ -233,6 +234,9 @@ pub fn coalesce_replies<A: Clone>(
     outputs: Vec<(A, Msg)>,
     key: impl Fn(&A) -> u64,
 ) -> Vec<(A, Msg)> {
+    if outputs.len() <= 1 {
+        return outputs;
+    }
     let mut order: Vec<A> = Vec::new();
     let mut groups: std::collections::HashMap<u64, Vec<Msg>> = std::collections::HashMap::new();
     for (to, msg) in outputs {
@@ -352,6 +356,33 @@ mod tests {
         assert!(matches!(sent[1].1, Msg::Ack { .. }), "single stays bare");
     }
 
+    fn ack_txns(msgs: &[Msg]) -> Vec<u64> {
+        msgs.iter()
+            .map(|m| match m {
+                Msg::Ack { txn } => txn.index(),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn coalesce_passes_zero_or_one_output_through_untouched() {
+        // The key is never consulted: nothing is grouped.
+        let no_key = |_: &u64| -> u64 { unreachable!("fast path groups nothing") };
+        assert!(coalesce_replies(Vec::new(), no_key).is_empty());
+        let sent = coalesce_replies(vec![(5u64, ack(4))], no_key);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].0, 5);
+        assert_eq!(ack_txns(std::slice::from_ref(&sent[0].1)), vec![4]);
+
+        let sent = coalesce_replies(vec![(5u64, ack(4)), (5, ack(6))], |k| *k);
+        assert_eq!(sent.len(), 1);
+        let Msg::Batch(inner) = &sent[0].1 else {
+            panic!("two replies to one key must share an envelope");
+        };
+        assert_eq!(ack_txns(inner), vec![4, 6]);
+    }
+
     #[test]
     fn coalesce_keeps_round_order_inside_an_envelope() {
         let outputs = vec![(1u64, ack(10)), (1, ack(11)), (1, ack(12))];
@@ -359,13 +390,6 @@ mod tests {
         let Msg::Batch(inner) = &sent[0].1 else {
             panic!("expected batch");
         };
-        let txns: Vec<u64> = inner
-            .iter()
-            .map(|m| match m {
-                Msg::Ack { txn } => txn.index(),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(txns, vec![10, 11, 12]);
+        assert_eq!(ack_txns(inner), vec![10, 11, 12]);
     }
 }

@@ -17,7 +17,7 @@ use safetx_policy::{
 };
 use safetx_sim::{Actor, Context, NodeId};
 use safetx_store::{
-    ConstraintSet, LocalStore, LockMode, MvccOverlay, ReadSet, ShardedLockManager, SnapshotId, Wal,
+    ConstraintSet, LocalStore, LockManager, LockMode, MvccOverlay, ReadSet, SnapshotId, Wal,
     WriteSet,
 };
 use safetx_txn::{
@@ -26,8 +26,7 @@ use safetx_txn::{
 };
 use safetx_types::{CredentialId, PolicyVersion, ServerId, Timestamp, TxnId, UserId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// Shared handle to the deployment's certificate authorities.
 ///
@@ -176,10 +175,6 @@ struct ProofCache {
     entries: HashMap<ProofCacheKey, CachedProof>,
     /// The CA revocation epoch the entries were computed under.
     epoch: u64,
-    /// Bumped on every `invalidate_all`. Lets an evaluation that released
-    /// the cache lock mid-computation detect a concurrent flush and discard
-    /// its (possibly stale) result instead of inserting it.
-    flush_seq: u64,
     stats: safetx_metrics::ProofCacheStats,
     disabled: bool,
 }
@@ -189,7 +184,6 @@ impl ProofCache {
     fn invalidate_all(&mut self) {
         self.stats.invalidations += self.entries.len() as u64;
         self.entries.clear();
-        self.flush_seq += 1;
     }
 
     /// Aligns the cache with the oracle's revocation epoch, flushing stale
@@ -227,52 +221,31 @@ pub fn capability_key(server: ServerId) -> u64 {
     0xCAB1_11E7_0000_0000 ^ server.index().wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// A consistent snapshot of one transaction's proof-evaluation inputs,
-/// taken by the protocol plane so a batched server round can evaluate it
-/// later, together with the round's other proofs, in one [`BatchEval`].
-///
-/// All payloads are `Arc`-shared with the server's transaction state, so
-/// taking a snapshot is refcount traffic, not a deep copy.
-#[derive(Debug, Clone)]
-pub struct EvalSnapshot {
-    /// The requesting user.
-    pub user: UserId,
-    /// The credentials presented at Begin.
-    pub credentials: Arc<[Credential]>,
-    /// The queries registered at this server: `(index, spec)`.
-    pub queries: Vec<(usize, Arc<QuerySpec>)>,
-}
-
 /// The data plane of one cloud server: everything proof evaluation touches
 /// (catalog, CAs, engine, installed versions, proof cache), kept apart
 /// from the protocol plane that [`ServerCore`] owns (lock decisions, WAL
 /// forces, 2PVC votes, per-transaction state).
 ///
-/// All methods take `&self` behind interior mutability, so a runtime can
-/// hold the handle from [`ServerCore::data_plane`] next to the core and
-/// evaluate a batched round's proofs through [`DataPlane::begin_batch`].
-/// Every runtime, like the simulator, calls it from the server's own
-/// thread, so the locks below are never contended.
+/// Owned by its [`ServerCore`] and mutated only through it, on the
+/// server's one thread; [`ServerCore::data_plane`] hands out read-only
+/// access for instrumentation. The only input shared across threads is
+/// the CA registry ([`SharedCas`]), which workloads revoke against
+/// mid-run — hence the revocation-epoch re-check before a cache insert.
 pub struct DataPlane {
     id: ServerId,
     catalog: SharedCatalog,
     cas: SharedCas,
     engine: Engine,
-    resource_map: RwLock<ResourcePolicyMap>,
-    ambient: RwLock<FactBase>,
+    resource_map: ResourcePolicyMap,
+    ambient: FactBase,
     /// Versions of each policy currently installed at this replica.
-    installed: RwLock<VersionMap>,
-    proof_cache: Mutex<ProofCache>,
-    /// Mirrors `proof_cache.disabled` so the evaluation fast path can skip
-    /// key construction and the cache mutex entirely when caching is off.
-    cache_enabled: AtomicBool,
+    installed: VersionMap,
+    proof_cache: ProofCache,
     /// Proof evaluations performed (cache hits included).
-    proofs: AtomicU64,
+    proofs: u64,
     /// Full engine evaluations: cache misses that actually ran the
-    /// credential checks and the inference engine. Excludes cache hits and
-    /// within-batch dedup reuse — the regression guard for the
-    /// redundant-evaluation fix (see [`BatchEval`]).
-    engine_evals: AtomicU64,
+    /// credential checks and the inference engine. Excludes cache hits.
+    engine_evals: u64,
 }
 
 impl std::fmt::Debug for DataPlane {
@@ -293,131 +266,103 @@ impl DataPlane {
             catalog,
             cas,
             engine: Engine::new(),
-            resource_map: RwLock::new(resource_map),
-            ambient: RwLock::new(FactBase::new()),
-            installed: RwLock::new(VersionMap::new()),
-            proof_cache: Mutex::new(ProofCache::default()),
-            cache_enabled: AtomicBool::new(true),
-            proofs: AtomicU64::new(0),
-            engine_evals: AtomicU64::new(0),
+            resource_map,
+            ambient: FactBase::new(),
+            installed: VersionMap::new(),
+            proof_cache: ProofCache::default(),
+            proofs: 0,
+            engine_evals: 0,
         }
     }
 
     /// Full engine evaluations performed so far (cache misses that ran the
-    /// credential checks and the engine; cache hits and within-batch dedup
-    /// reuse excluded). Instrumentation only — the paper's proof count is
+    /// credential checks and the engine; cache hits excluded).
+    /// Instrumentation only — the paper's proof count is
     /// [`ServerCounters::proofs`].
     #[must_use]
     pub fn engine_evaluations(&self) -> u64 {
-        self.engine_evals.load(Ordering::Relaxed)
-    }
-
-    /// This server's id.
-    #[must_use]
-    pub fn id(&self) -> ServerId {
-        self.id
+        self.engine_evals
     }
 
     /// Installs an initial policy version at the replica.
-    pub fn install_policy(&self, policy: safetx_types::PolicyId, version: PolicyVersion) {
+    fn install_policy(&mut self, policy: safetx_types::PolicyId, version: PolicyVersion) {
         use std::collections::btree_map::Entry;
-        let mut installed = self.installed.write().expect("installed lock poisoned");
-        match installed.entry(policy) {
+        match self.installed.entry(policy) {
             Entry::Vacant(slot) => {
                 slot.insert(version);
-                drop(installed);
-                self.invalidate_proof_cache();
             }
-            Entry::Occupied(mut slot) => {
-                if version > *slot.get() {
-                    slot.insert(version);
-                    drop(installed);
-                    self.invalidate_proof_cache();
-                }
+            Entry::Occupied(mut slot) if version > *slot.get() => {
+                slot.insert(version);
             }
+            Entry::Occupied(_) => return,
         }
-    }
-
-    /// The replica's installed versions (owned copy).
-    #[must_use]
-    pub fn installed_versions(&self) -> VersionMap {
-        self.installed
-            .read()
-            .expect("installed lock poisoned")
-            .clone()
+        self.proof_cache.invalidate_all();
     }
 
     /// Enables or disables the proof cache (enabled by default).
-    pub fn set_proof_cache(&self, enabled: bool) {
-        let mut cache = self.proof_cache.lock().expect("proof cache poisoned");
-        cache.disabled = !enabled;
+    fn set_proof_cache(&mut self, enabled: bool) {
+        self.proof_cache.disabled = !enabled;
         if !enabled {
-            cache.entries.clear();
-            cache.flush_seq += 1;
+            self.proof_cache.entries.clear();
         }
-        // Publish the flag after the cache state: a racing evaluation that
-        // still sees the cache as enabled re-checks `disabled` (and the
-        // flush sequence) under the lock before inserting.
-        self.cache_enabled.store(enabled, Ordering::Release);
     }
 
     /// Runs `f` with mutable access to the ambient fact base (e.g. observed
     /// locations). Invalidates cached proofs: ambient facts feed every
     /// evaluation.
-    pub fn with_ambient<R>(&self, f: impl FnOnce(&mut FactBase) -> R) -> R {
-        let result = f(&mut self.ambient.write().expect("ambient lock poisoned"));
-        self.invalidate_proof_cache();
+    fn with_ambient<R>(&mut self, f: impl FnOnce(&mut FactBase) -> R) -> R {
+        let result = f(&mut self.ambient);
+        self.proof_cache.invalidate_all();
         result
     }
 
     /// Runs `f` with mutable access to the resource → policy mapping
     /// (multi-domain deployments). Invalidates cached proofs: the mapping
     /// picks which policy governs each resource.
-    pub fn with_resource_map<R>(&self, f: impl FnOnce(&mut ResourcePolicyMap) -> R) -> R {
-        let result = f(&mut self
-            .resource_map
-            .write()
-            .expect("resource map lock poisoned"));
-        self.invalidate_proof_cache();
+    fn with_resource_map<R>(&mut self, f: impl FnOnce(&mut ResourcePolicyMap) -> R) -> R {
+        let result = f(&mut self.resource_map);
+        self.proof_cache.invalidate_all();
         result
-    }
-
-    fn invalidate_proof_cache(&self) {
-        self.proof_cache
-            .lock()
-            .expect("proof cache poisoned")
-            .invalidate_all();
-    }
-
-    fn proof_cache_stats(&self) -> safetx_metrics::ProofCacheStats {
-        self.proof_cache.lock().expect("proof cache poisoned").stats
     }
 
     /// Fast-forwards the replica toward target versions available in the
     /// catalog. Never moves backward. Any actual version movement is a
     /// policy install and flushes the proof cache.
-    pub fn fast_forward(&self, targets: &VersionMap) {
+    fn fast_forward(&mut self, targets: &VersionMap) {
+        use std::collections::btree_map::Entry;
         let mut installed_any = false;
-        {
-            let mut installed = self.installed.write().expect("installed lock poisoned");
-            for (&policy, &version) in targets {
-                match installed.entry(policy) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
+        for (&policy, &version) in targets {
+            match self.installed.entry(policy) {
+                Entry::Vacant(slot) => {
+                    slot.insert(version);
+                    installed_any = true;
+                }
+                Entry::Occupied(mut slot) => {
+                    if version > *slot.get() && self.catalog.fetch(policy, version).is_ok() {
                         slot.insert(version);
                         installed_any = true;
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut slot) => {
-                        if version > *slot.get() && self.catalog.fetch(policy, version).is_ok() {
-                            slot.insert(version);
-                            installed_any = true;
-                        }
                     }
                 }
             }
         }
         if installed_any {
-            self.invalidate_proof_cache();
+            self.proof_cache.invalidate_all();
         }
+    }
+
+    /// The policy governing `query`'s resource and the version installed
+    /// here.
+    fn governing_policy(&self, query: &QuerySpec) -> (safetx_types::PolicyId, PolicyVersion) {
+        let policy_id = self
+            .resource_map
+            .policy_for(&query.resource)
+            .unwrap_or_else(|| panic!("resource `{}` bound to no policy", query.resource));
+        let version = self
+            .installed
+            .get(&policy_id)
+            .copied()
+            .unwrap_or(PolicyVersion::INITIAL);
+        (policy_id, version)
     }
 
     /// Evaluates the proof of authorization for one query at the currently
@@ -428,186 +373,76 @@ impl DataPlane {
     /// oracle, but still counts as a proof evaluation in
     /// [`ServerCounters::proofs`] — the paper's Table I cost model is about
     /// *how many* proofs each scheme demands, not how fast one is computed.
-    ///
-    /// The cache lock is **not** held across the engine run: a flush that
-    /// lands mid-evaluation is detected via the cache's flush sequence,
-    /// discarding the stale insert. Concurrent misses on the same key from
-    /// *different* rounds still evaluate redundantly (benign — same
-    /// answer); misses within one server round are deduplicated by
-    /// [`BatchEval`], which evaluates each distinct key once and serves the
-    /// rest of the round from its result.
-    pub fn evaluate_one(
-        &self,
+    /// Identical requests within one server round therefore run the engine
+    /// once: the first misses and inserts, the rest hit.
+    fn evaluate_one(
+        &mut self,
         now: Timestamp,
         user: UserId,
         credentials: &[Credential],
         query: &QuerySpec,
     ) -> ProofOfAuthorization {
-        let policy_id = self
-            .resource_map
-            .read()
-            .expect("resource map lock poisoned")
-            .policy_for(&query.resource)
-            .unwrap_or_else(|| panic!("resource `{}` bound to no policy", query.resource));
-        let version = self
-            .installed
-            .read()
-            .expect("installed lock poisoned")
-            .get(&policy_id)
-            .copied()
-            .unwrap_or(PolicyVersion::INITIAL);
+        self.proofs += 1;
+        let (policy_id, version) = self.governing_policy(query);
         let credential_ids: Vec<CredentialId> = credentials.iter().map(Credential::id).collect();
+        let proof = |credentials, outcome| ProofOfAuthorization {
+            request: AccessRequest::new(user, query.action.clone(), query.resource.clone()),
+            server: self.id,
+            policy_id,
+            policy_version: version,
+            evaluated_at: now,
+            credentials,
+            outcome,
+        };
         // When the cache is disabled, skip its machinery entirely — no key
-        // construction, no cache mutex, no validity-horizon lookups.
-        let lookup = if self.cache_enabled.load(Ordering::Acquire) {
-            let key = ProofCacheKey {
-                policy: policy_id,
-                version,
-                user,
-                credentials: credential_ids.clone(),
-                action: query.action.clone(),
-                resource: query.resource.clone(),
-            };
-            let (cached, flush_token) = {
-                let mut cache = self.proof_cache.lock().expect("proof cache poisoned");
-                cache.sync_epoch(self.cas.epoch());
-                (cache.get(&key, now), cache.flush_seq)
-            };
-            if let Some(outcome) = cached {
-                self.proofs.fetch_add(1, Ordering::Relaxed);
-                return ProofOfAuthorization {
-                    request: AccessRequest::new(user, query.action.clone(), query.resource.clone()),
-                    server: self.id,
-                    policy_id,
-                    policy_version: version,
-                    evaluated_at: now,
-                    credentials: credential_ids,
-                    outcome,
-                };
+        // construction, no validity-horizon lookups.
+        let key = (!self.proof_cache.disabled).then(|| ProofCacheKey {
+            policy: policy_id,
+            version,
+            user,
+            credentials: credential_ids.clone(),
+            action: query.action.clone(),
+            resource: query.resource.clone(),
+        });
+        if let Some(key) = &key {
+            self.proof_cache.sync_epoch(self.cas.epoch());
+            if let Some(outcome) = self.proof_cache.get(key, now) {
+                return proof(credential_ids, outcome);
             }
-            Some((key, flush_token))
-        } else {
-            None
+        }
+        // A policy version missing from the catalog can appear at any later
+        // instant without an invalidation signal, so this denial is never
+        // cached.
+        let Ok(policy) = self.catalog.fetch_shared(policy_id, version) else {
+            return proof(credential_ids, ProofOutcome::NotDerivable);
+        };
+        self.engine_evals += 1;
+        let pctx = ProofContext {
+            policy: policy.as_ref(),
+            oracle: &self.cas,
+            engine: &self.engine,
+            ambient_facts: &self.ambient,
         };
         let request = AccessRequest::new(user, query.action.clone(), query.resource.clone());
-        let proof = match self.catalog.fetch_shared(policy_id, version) {
-            Ok(policy) => {
-                self.engine_evals.fetch_add(1, Ordering::Relaxed);
-                let proof = {
-                    let ambient = self.ambient.read().expect("ambient lock poisoned");
-                    let pctx = ProofContext {
-                        policy: policy.as_ref(),
-                        oracle: &self.cas,
-                        engine: &self.engine,
-                        ambient_facts: &ambient,
-                    };
-                    evaluate_proof(&pctx, self.id, &request, credentials, now).unwrap_or_else(
-                        |_| ProofOfAuthorization {
-                            request: request.clone(),
-                            server: self.id,
-                            policy_id,
-                            policy_version: version,
-                            evaluated_at: now,
-                            credentials: credential_ids.clone(),
-                            outcome: ProofOutcome::NotDerivable,
-                        },
-                    )
-                };
-                if let Some((key, flush_token)) = lookup {
-                    let valid_until = self.validity_horizon(now, credentials);
-                    if now < valid_until {
-                        let mut cache = self.proof_cache.lock().expect("proof cache poisoned");
-                        // Skip the insert when the cache was flushed (or the
-                        // revocation epoch moved) while we evaluated: the
-                        // result may predate the invalidation signal.
-                        if !cache.disabled
-                            && cache.flush_seq == flush_token
-                            && cache.epoch == self.cas.epoch()
-                        {
-                            cache.entries.insert(
-                                key,
-                                CachedProof {
-                                    outcome: proof.outcome.clone(),
-                                    valid_from: now,
-                                    valid_until,
-                                },
-                            );
-                        }
-                    }
-                }
-                proof
+        let evaluated = evaluate_proof(&pctx, self.id, &request, credentials, now)
+            .unwrap_or_else(|_| proof(credential_ids, ProofOutcome::NotDerivable));
+        if let Some(key) = key {
+            let valid_until = self.validity_horizon(now, credentials);
+            // Skip the insert when the revocation epoch moved while we
+            // evaluated: another thread mutated the CAs, and the result may
+            // predate the revocation.
+            if now < valid_until && self.proof_cache.epoch == self.cas.epoch() {
+                self.proof_cache.entries.insert(
+                    key,
+                    CachedProof {
+                        outcome: evaluated.outcome.clone(),
+                        valid_from: now,
+                        valid_until,
+                    },
+                );
             }
-            // A policy version missing from the catalog can appear at any
-            // later instant without an invalidation signal, so this denial
-            // is never cached.
-            Err(_) => ProofOfAuthorization {
-                request,
-                server: self.id,
-                policy_id,
-                policy_version: version,
-                evaluated_at: now,
-                credentials: credential_ids,
-                outcome: ProofOutcome::NotDerivable,
-            },
-        };
-        self.proofs.fetch_add(1, Ordering::Relaxed);
-        proof
-    }
-
-    /// (Re-)evaluates proofs for a snapshot of a transaction's queries.
-    /// Returns `(truth, versions, proofs)` — the body of a 2PV reply.
-    #[must_use]
-    pub fn evaluate_snapshot(
-        &self,
-        now: Timestamp,
-        snapshot: &EvalSnapshot,
-    ) -> (bool, VersionMap, Vec<ProofOfAuthorization>) {
-        let mut truth = true;
-        let mut versions = VersionMap::new();
-        let mut proofs = Vec::new();
-        for (_, query) in &snapshot.queries {
-            let proof = self.evaluate_one(now, snapshot.user, &snapshot.credentials, query);
-            truth &= proof.truth();
-            versions.insert(proof.policy_id, proof.policy_version);
-            proofs.push(proof);
         }
-        (truth, versions, proofs)
-    }
-
-    /// Opens a batched-evaluation context for one server round: all proofs
-    /// evaluated through it share one catalog fetch per `(policy, version)`,
-    /// one credential check + rule saturation per `(policy, version,
-    /// credential list)`, and identical requests are evaluated exactly once
-    /// (the within-round dedup that fixes the redundant-evaluation race).
-    ///
-    /// Every evaluation in the batch happens at the single instant `now` —
-    /// the round's evaluation time.
-    #[must_use]
-    pub fn begin_batch(&self, now: Timestamp) -> BatchEval<'_> {
-        BatchEval {
-            data: self,
-            now,
-            policies: HashMap::new(),
-            saturations: HashMap::new(),
-            computed: HashMap::new(),
-        }
-    }
-
-    /// Evaluates a whole round of transaction snapshots through one
-    /// [`BatchEval`] context. Outcome-equivalent to calling
-    /// [`DataPlane::evaluate_snapshot`] per snapshot, but policy fetches,
-    /// credential checks and saturations are shared across the batch.
-    #[must_use]
-    pub fn evaluate_batch(
-        &self,
-        now: Timestamp,
-        snapshots: &[EvalSnapshot],
-    ) -> Vec<(bool, VersionMap, Vec<ProofOfAuthorization>)> {
-        let mut batch = self.begin_batch(now);
-        snapshots
-            .iter()
-            .map(|snapshot| batch.evaluate_snapshot(snapshot))
-            .collect()
+        evaluated
     }
 
     /// The earliest instant after `now` at which any of `credentials` can
@@ -639,24 +474,9 @@ impl DataPlane {
         &self,
         now: Timestamp,
         user: UserId,
-        capability: &safetx_policy::AccessCapability,
         query: &QuerySpec,
     ) -> ProofOfAuthorization {
-        let policy_id = self
-            .resource_map
-            .read()
-            .expect("resource map lock poisoned")
-            .policy_for(&query.resource)
-            .unwrap_or_else(|| panic!("resource `{}` bound to no policy", query.resource));
-        let version = self
-            .installed
-            .read()
-            .expect("installed lock poisoned")
-            .get(&policy_id)
-            .copied()
-            .unwrap_or(PolicyVersion::INITIAL);
-        // The capability itself is the only "credential" consulted.
-        let _ = capability;
+        let (policy_id, version) = self.governing_policy(query);
         ProofOfAuthorization {
             request: AccessRequest::new(user, query.action.clone(), query.resource.clone()),
             server: self.id,
@@ -669,233 +489,22 @@ impl DataPlane {
     }
 }
 
-/// Shared evaluation state for one `(policy, version, credential list)`
-/// group within a batch.
-enum SaturationEntry {
-    /// Valid wallet: the fact base saturated under the policy's rules,
-    /// ready for per-goal lookups.
-    Saturated(FactBase),
-    /// Every query under this key short-circuits with this outcome — an
-    /// invalid/revoked credential, or a blown derivation budget (mapped to
-    /// `NotDerivable`, exactly as the unbatched path does).
-    Fixed(ProofOutcome),
-}
-
-/// Batched proof evaluation over one server round.
-///
-/// Mirrors [`DataPlane::evaluate_one`] decision for decision — same policy
-/// resolution, same cache lookups and flush-token-guarded inserts, same
-/// counters — but amortizes the expensive middle across the batch:
-///
-/// * **one catalog fetch** per `(policy, version)`;
-/// * **one credential check + rule saturation** per `(policy, version,
-///   credential list)` — every query presenting the same wallet under the
-///   same policy probes one shared saturated [`FactBase`] instead of
-///   cloning the ambient facts and re-running the fixpoint;
-/// * **one full evaluation** per distinct request: identical cache-miss
-///   keys within the batch reuse the first evaluation's outcome (counted
-///   as cache hits when the cache is enabled), closing the window in which
-///   concurrent misses on one key redundantly re-evaluated.
-///
-/// Dropped at the end of the round; nothing here outlives the batch except
-/// what the regular proof cache retains.
-pub struct BatchEval<'a> {
-    data: &'a DataPlane,
-    now: Timestamp,
-    /// One catalog fetch per (policy, version); `None` caches a missing
-    /// version (denied, never inserted into the proof cache — same as the
-    /// unbatched path).
-    policies: HashMap<(safetx_types::PolicyId, PolicyVersion), Option<Arc<safetx_policy::Policy>>>,
-    /// One credential check + saturation per (policy, version, wallet).
-    saturations:
-        HashMap<(safetx_types::PolicyId, PolicyVersion, Vec<CredentialId>), SaturationEntry>,
-    /// Within-batch dedup: outcome of every distinct request evaluated so
-    /// far this round.
-    computed: HashMap<ProofCacheKey, ProofOutcome>,
-}
-
-impl BatchEval<'_> {
-    /// Evaluates one proof through the batch context. Outcome-identical to
-    /// [`DataPlane::evaluate_one`] at the same instant and cache state.
-    pub fn evaluate_one(
-        &mut self,
-        user: UserId,
-        credentials: &[Credential],
-        query: &QuerySpec,
-    ) -> ProofOfAuthorization {
-        let data = self.data;
-        let now = self.now;
-        let policy_id = data
-            .resource_map
-            .read()
-            .expect("resource map lock poisoned")
-            .policy_for(&query.resource)
-            .unwrap_or_else(|| panic!("resource `{}` bound to no policy", query.resource));
-        let version = data
-            .installed
-            .read()
-            .expect("installed lock poisoned")
-            .get(&policy_id)
-            .copied()
-            .unwrap_or(PolicyVersion::INITIAL);
-        let credential_ids: Vec<CredentialId> = credentials.iter().map(Credential::id).collect();
-        // The key is built even with the cache disabled: within-batch dedup
-        // needs it (the unbatched path skips it then, but has no dedup).
-        let key = ProofCacheKey {
-            policy: policy_id,
-            version,
-            user,
-            credentials: credential_ids.clone(),
-            action: query.action.clone(),
-            resource: query.resource.clone(),
-        };
-        let finish = |outcome: ProofOutcome| {
-            data.proofs.fetch_add(1, Ordering::Relaxed);
-            ProofOfAuthorization {
-                request: AccessRequest::new(user, query.action.clone(), query.resource.clone()),
-                server: data.id,
-                policy_id,
-                policy_version: version,
-                evaluated_at: now,
-                credentials: credential_ids.clone(),
-                outcome,
-            }
-        };
-        let cache_enabled = data.cache_enabled.load(Ordering::Acquire);
-        // Within-batch dedup first: an identical request already evaluated
-        // this round reuses its outcome. Counted as a cache hit (a reuse is
-        // a wall-clock saving, and the paper's proof count still advances).
-        if let Some(outcome) = self.computed.get(&key) {
-            if cache_enabled {
-                data.proof_cache
-                    .lock()
-                    .expect("proof cache poisoned")
-                    .stats
-                    .hits += 1;
-            }
-            return finish(outcome.clone());
-        }
-        let lookup = if cache_enabled {
-            let (cached, flush_token) = {
-                let mut cache = data.proof_cache.lock().expect("proof cache poisoned");
-                cache.sync_epoch(data.cas.epoch());
-                (cache.get(&key, now), cache.flush_seq)
-            };
-            if let Some(outcome) = cached {
-                return finish(outcome);
-            }
-            Some(flush_token)
-        } else {
-            None
-        };
-        // One catalog fetch per (policy, version) for the whole batch.
-        let policy = self
-            .policies
-            .entry((policy_id, version))
-            .or_insert_with(|| data.catalog.fetch_shared(policy_id, version).ok())
-            .clone();
-        let Some(policy) = policy else {
-            // Missing catalog version: denied, never cached and never
-            // recorded for dedup — it can appear at any later instant
-            // without an invalidation signal (same as the unbatched path).
-            return finish(ProofOutcome::NotDerivable);
-        };
-        // One credential check + saturation per (policy, version, wallet).
-        let entry = self
-            .saturations
-            .entry((policy_id, version, credential_ids.clone()))
-            .or_insert_with(|| {
-                let ambient = data.ambient.read().expect("ambient lock poisoned");
-                match safetx_policy::credential_fact_base(&data.cas, &ambient, credentials, now) {
-                    Ok(safetx_policy::CredentialCheck::Valid(facts)) => {
-                        match data.engine.saturate(policy.rules().as_slice(), &facts) {
-                            Ok(saturated) => SaturationEntry::Saturated(saturated),
-                            Err(_) => SaturationEntry::Fixed(ProofOutcome::NotDerivable),
-                        }
-                    }
-                    Ok(safetx_policy::CredentialCheck::Refused(outcome)) => {
-                        SaturationEntry::Fixed(outcome)
-                    }
-                    Err(_) => SaturationEntry::Fixed(ProofOutcome::NotDerivable),
-                }
-            });
-        let outcome = match entry {
-            SaturationEntry::Saturated(saturated) => {
-                let goal =
-                    AccessRequest::new(user, query.action.clone(), query.resource.clone()).goal();
-                if Engine::holds(saturated, &goal) {
-                    ProofOutcome::Granted
-                } else {
-                    ProofOutcome::NotDerivable
-                }
-            }
-            SaturationEntry::Fixed(outcome) => outcome.clone(),
-        };
-        data.engine_evals.fetch_add(1, Ordering::Relaxed);
-        self.computed.insert(key.clone(), outcome.clone());
-        if let Some(flush_token) = lookup {
-            let valid_until = data.validity_horizon(now, credentials);
-            if now < valid_until {
-                let mut cache = data.proof_cache.lock().expect("proof cache poisoned");
-                // Same guard as the unbatched path: skip the insert when
-                // the cache was flushed (or the revocation epoch moved)
-                // while we evaluated.
-                if !cache.disabled
-                    && cache.flush_seq == flush_token
-                    && cache.epoch == data.cas.epoch()
-                {
-                    cache.entries.insert(
-                        key,
-                        CachedProof {
-                            outcome: outcome.clone(),
-                            valid_from: now,
-                            valid_until,
-                        },
-                    );
-                }
-            }
-        }
-        finish(outcome)
-    }
-
-    /// (Re-)evaluates proofs for a snapshot of a transaction's queries
-    /// through the batch context. Returns `(truth, versions, proofs)` —
-    /// the body of a 2PV reply.
-    #[must_use]
-    pub fn evaluate_snapshot(
-        &mut self,
-        snapshot: &EvalSnapshot,
-    ) -> (bool, VersionMap, Vec<ProofOfAuthorization>) {
-        let mut truth = true;
-        let mut versions = VersionMap::new();
-        let mut proofs = Vec::new();
-        for (_, query) in &snapshot.queries {
-            let proof = self.evaluate_one(snapshot.user, &snapshot.credentials, query);
-            truth &= proof.truth();
-            versions.insert(proof.policy_id, proof.policy_version);
-            proofs.push(proof);
-        }
-        (truth, versions, proofs)
-    }
-}
-
 /// The sans-io participant logic of one cloud server.
 ///
 /// `A` is the address type of peers: `NodeId` under the simulator, a
 /// channel handle under the threaded runtime.
 ///
 /// Internally split into the protocol plane (per-transaction state, write
-/// sets, participant state machines, WAL — owned exclusively by this
-/// struct) and a [`DataPlane`] (policy engine, proof cache, installed
-/// versions), so a runtime's batched round can run every message's
-/// protocol half first and then evaluate the round's proofs together via
-/// [`ServerCore::data_plane`].
+/// sets, participant state machines, locks, WAL) and a [`DataPlane`]
+/// (policy engine, proof cache, installed versions). Both are plain owned
+/// state: a server is one thread, and every runtime drives it through
+/// [`ServerCore::handle_round`].
 pub struct ServerCore<A> {
     id: ServerId,
-    data: Arc<DataPlane>,
+    data: DataPlane,
     variant: CommitVariant,
     store: LocalStore,
-    locks: ShardedLockManager,
+    locks: LockManager,
     /// The concurrency seam: locking takes 2PL locks at query execution;
     /// OCC reads snapshots and validates at the 2PVC vote. Fixed before
     /// traffic; never switched mid-flight.
@@ -936,10 +545,10 @@ impl<A: Clone> ServerCore<A> {
     ) -> Self {
         ServerCore {
             id,
-            data: Arc::new(DataPlane::new(id, catalog, resource_map, cas)),
+            data: DataPlane::new(id, catalog, resource_map, cas),
             variant,
             store: LocalStore::new(),
-            locks: ShardedLockManager::new(),
+            locks: LockManager::new(),
             concurrency: ConcurrencyMode::Locking,
             mvcc: MvccOverlay::new(),
             wal: Wal::new(),
@@ -952,12 +561,11 @@ impl<A: Clone> ServerCore<A> {
         }
     }
 
-    /// A shared handle to this server's data plane (proof evaluation,
-    /// policy versions, proof cache). Batched server rounds evaluate their
-    /// proofs through it after the round's protocol handling.
+    /// Read access to this server's data plane (proof evaluation, policy
+    /// versions, proof cache) for instrumentation.
     #[must_use]
-    pub fn data_plane(&self) -> Arc<DataPlane> {
-        Arc::clone(&self.data)
+    pub fn data_plane(&self) -> &DataPlane {
+        &self.data
     }
 
     /// Enables or disables the proof cache (enabled by default). Disabling
@@ -973,14 +581,6 @@ impl<A: Clone> ServerCore<A> {
     pub fn set_unsafe_baseline(&mut self, enabled: bool) {
         self.issue_capabilities = enabled;
         self.honor_capabilities = enabled;
-    }
-
-    /// True when the unsafe-baseline capability behaviour is on. The
-    /// runtime keeps baseline servers fully single-threaded (the hazard
-    /// measurements depend on exact interleavings).
-    #[must_use]
-    pub fn unsafe_baseline(&self) -> bool {
-        self.issue_capabilities || self.honor_capabilities
     }
 
     /// Selects the concurrency mode (locking by default). Set before any
@@ -1011,7 +611,7 @@ impl<A: Clone> ServerCore<A> {
     /// The replica's installed versions (owned copy).
     #[must_use]
     pub fn installed_versions(&self) -> VersionMap {
-        self.data.installed_versions()
+        self.data.installed.clone()
     }
 
     /// Mutable access to the local data store (harness seeding).
@@ -1053,10 +653,10 @@ impl<A: Clone> ServerCore<A> {
     #[must_use]
     pub fn counters(&self) -> ServerCounters {
         ServerCounters {
-            proofs: self.data.proofs.load(Ordering::Relaxed),
+            proofs: self.data.proofs,
             forced_logs: self.forced_logs,
             physical_syncs: self.wal.physical_sync_count(),
-            proof_cache: self.data.proof_cache_stats(),
+            proof_cache: self.data.proof_cache.stats,
         }
     }
 
@@ -1068,20 +668,6 @@ impl<A: Clone> ServerCore<A> {
             forced_logs: self.wal.forced_count(),
             physical_syncs: self.wal.physical_sync_count(),
         }
-    }
-
-    /// Opens a WAL group-commit window: every force issued by handlers
-    /// until [`ServerCore::end_wal_group`] shares one physical sync. The
-    /// logical force count — the paper's metric — is unaffected.
-    pub fn begin_wal_group(&mut self) {
-        self.wal.begin_group();
-    }
-
-    /// Closes the WAL group-commit window, performing the round's single
-    /// physical sync. Must be called before any reply that depends on a
-    /// force in the window (votes, decision acks) is released.
-    pub fn end_wal_group(&mut self) {
-        self.wal.end_group();
     }
 
     /// Sets the modeled device latency of one physical WAL sync.
@@ -1099,17 +685,6 @@ impl<A: Clone> ServerCore<A> {
     /// catalog. Never moves backward.
     fn fast_forward(&mut self, targets: &VersionMap) {
         self.data.fast_forward(targets);
-    }
-
-    fn proof_from_capability(
-        &mut self,
-        now: Timestamp,
-        user: UserId,
-        capability: &safetx_policy::AccessCapability,
-        query: &QuerySpec,
-    ) -> ProofOfAuthorization {
-        self.data
-            .proof_from_capability(now, user, capability, query)
     }
 
     /// (Re-)evaluates proofs for every query of `txn` at this server.
@@ -1134,51 +709,6 @@ impl<A: Clone> ServerCore<A> {
             proofs.push(proof);
         }
         (truth, versions, proofs)
-    }
-
-    /// A snapshot of `txn`'s evaluation inputs for deferred proof work
-    /// ([`DataPlane::evaluate_snapshot`] on the returned value reproduces
-    /// what [`ServerCore::handle`] would compute directly).
-    #[must_use]
-    pub fn snapshot_txn(&self, txn: TxnId) -> Option<EvalSnapshot> {
-        self.txns.get(&txn).map(|state| EvalSnapshot {
-            user: state.user,
-            credentials: Arc::clone(&state.credentials),
-            queries: state.queries.clone(),
-        })
-    }
-
-    /// Registers a 2PV contact (the protocol-plane half of
-    /// [`Msg::PrepareToValidate`]): creates the transaction if new, records
-    /// `new_query`, and returns the snapshot whose evaluation produces the
-    /// [`Msg::ValidateReply`] body.
-    ///
-    /// Returns `None` for a transaction already decided here (a duplicated
-    /// or delayed round): registering it again would resurrect ghost state,
-    /// and the coordinator that sent the original round is long gone.
-    pub fn register_validation(
-        &mut self,
-        txn: TxnId,
-        new_query: Option<(usize, Arc<QuerySpec>)>,
-        user: UserId,
-        credentials: Arc<[Credential]>,
-        coordinator: A,
-    ) -> Option<EvalSnapshot> {
-        if self.decided.contains_key(&txn) {
-            return None;
-        }
-        self.ensure_txn(txn, user, credentials, coordinator);
-        let state = self.txns.get_mut(&txn).expect("just ensured");
-        if let Some((index, query)) = new_query {
-            if !state.queries.iter().any(|(i, _)| *i == index) {
-                state.queries.push((index, query));
-            }
-        }
-        Some(EvalSnapshot {
-            user: state.user,
-            credentials: Arc::clone(&state.credentials),
-            queries: state.queries.clone(),
-        })
     }
 
     /// Executes a query's data operations into the transaction's write
@@ -1389,9 +919,40 @@ impl<A: Clone> ServerCore<A> {
 
     /// Handles one protocol message arriving from `from` at instant `now`.
     /// Returns the messages to send.
-    #[allow(clippy::too_many_lines)]
     pub fn handle(&mut self, now: Timestamp, from: A, msg: Msg) -> Vec<(A, Msg)> {
         let mut out = Vec::new();
+        self.dispatch(now, from, msg, &mut out);
+        out
+    }
+
+    /// Handles one server round: every message in arrival order, all at
+    /// instant `now`, inside one WAL group-commit window. The window closes
+    /// — performing the round's one physical sync — before the replies are
+    /// returned, so a vote never outruns the force it acknowledges. The
+    /// logical force count, the paper's metric, is unaffected.
+    ///
+    /// This is the only server round: a runtime drains its queued messages,
+    /// calls this once, and sends the replies (coalesced per destination
+    /// with [`crate::coalesce_replies`]). A round of one message behaves
+    /// exactly like [`ServerCore::handle`], at one physical sync per force.
+    pub fn handle_round(
+        &mut self,
+        now: Timestamp,
+        msgs: impl IntoIterator<Item = (A, Msg)>,
+    ) -> Vec<(A, Msg)> {
+        let mut out = Vec::new();
+        self.wal.begin_group();
+        for (from, msg) in msgs {
+            self.dispatch(now, from, msg, &mut out);
+        }
+        self.wal.end_group();
+        out
+    }
+
+    /// Handles one protocol message, pushing the messages to send onto
+    /// `out`.
+    #[allow(clippy::too_many_lines)]
+    fn dispatch(&mut self, now: Timestamp, from: A, msg: Msg, out: &mut Vec<(A, Msg)>) {
         match msg {
             Msg::ExecQuery {
                 txn,
@@ -1407,7 +968,7 @@ impl<A: Clone> ServerCore<A> {
                 // transaction: re-registering would resurrect ghost state
                 // and leak locks; the TM's wait for this reply is over.
                 if self.decided.contains_key(&txn) {
-                    return out;
+                    return;
                 }
                 self.fast_forward(&pin_versions);
                 self.ensure_txn(txn, user, credentials, from.clone());
@@ -1433,7 +994,7 @@ impl<A: Clone> ServerCore<A> {
                                 capability: None,
                             },
                         ));
-                        return out;
+                        return;
                     }
                     self.txns
                         .get_mut(&txn)
@@ -1445,24 +1006,17 @@ impl<A: Clone> ServerCore<A> {
                 // for a proof — no policy evaluation, no credential status
                 // check. This is exactly how Bob's stale "read credential"
                 // slipped through in the paper's Figure 1.
-                let shortcut = self
-                    .honor_capabilities
-                    .then(|| {
-                        capabilities
-                            .iter()
-                            .find(|cap| {
-                                cap.user() == user
-                                    && cap.txn() == txn
-                                    && cap.action() == query.action
-                                    && cap.resource() == query.resource
-                                    && cap.verify(capability_key(cap.issuer()), now)
-                            })
-                            .cloned()
-                    })
-                    .flatten();
+                let shortcut = self.honor_capabilities
+                    && capabilities.iter().any(|cap| {
+                        cap.user() == user
+                            && cap.txn() == txn
+                            && cap.action() == query.action
+                            && cap.resource() == query.resource
+                            && cap.verify(capability_key(cap.issuer()), now)
+                    });
                 let proof = if evaluate_proof {
-                    if let Some(cap) = shortcut {
-                        Some(self.proof_from_capability(now, user, &cap, &query))
+                    if shortcut {
+                        Some(self.data.proof_from_capability(now, user, &query))
                     } else {
                         let state = self.txns.get(&txn).expect("just ensured");
                         Some(
@@ -1504,12 +1058,18 @@ impl<A: Clone> ServerCore<A> {
                 user,
                 credentials,
             } => {
-                if self
-                    .register_validation(txn, new_query, user, credentials, from.clone())
-                    .is_none()
-                {
-                    // Already decided here: a stale round, no reply owed.
-                    return out;
+                // Already decided here: a duplicated or delayed round. No
+                // reply is owed, and registering the transaction again would
+                // resurrect ghost state.
+                if self.decided.contains_key(&txn) {
+                    return;
+                }
+                self.ensure_txn(txn, user, credentials, from.clone());
+                if let Some((index, query)) = new_query {
+                    let state = self.txns.get_mut(&txn).expect("just ensured");
+                    if !state.queries.iter().any(|(i, _)| *i == index) {
+                        state.queries.push((index, query));
+                    }
                 }
                 let (truth, versions, proofs) = self.evaluate_all(now, txn);
                 out.push((
@@ -1536,7 +1096,7 @@ impl<A: Clone> ServerCore<A> {
                 // state machine already resolved; re-preparing would build
                 // a ghost participant the coordinator never decides.
                 if self.decided.contains_key(&txn) {
-                    return out;
+                    return;
                 }
                 let known = self.txns.contains_key(&txn);
                 // Compare the TM's manifest against the queries actually
@@ -1597,7 +1157,7 @@ impl<A: Clone> ServerCore<A> {
                     proofs,
                     conflict: occ_conflict,
                 };
-                self.apply_participant_outputs(now, txn, outputs, Some(reply), from, &mut out);
+                self.apply_participant_outputs(now, txn, outputs, Some(reply), from, out);
             }
 
             Msg::Update {
@@ -1609,7 +1169,7 @@ impl<A: Clone> ServerCore<A> {
                 let (truth, versions, proofs) = self.evaluate_all(now, txn);
                 if in_commit {
                     if !self.txns.contains_key(&txn) {
-                        return out;
+                        return;
                     }
                     let (vote, outputs) = {
                         let state = self.txns.get_mut(&txn).expect("checked");
@@ -1629,7 +1189,7 @@ impl<A: Clone> ServerCore<A> {
                         proofs,
                         conflict: false,
                     };
-                    self.apply_participant_outputs(now, txn, outputs, Some(reply), from, &mut out);
+                    self.apply_participant_outputs(now, txn, outputs, Some(reply), from, out);
                 } else {
                     out.push((
                         from,
@@ -1654,13 +1214,13 @@ impl<A: Clone> ServerCore<A> {
                     if self.variant.participant_acks(decision) {
                         out.push((from, Msg::Ack { txn }));
                     }
-                    return out;
+                    return;
                 }
                 let outputs = {
                     let state = self.txns.get_mut(&txn).expect("checked");
                     state.participant.on_decision(decision)
                 };
-                self.apply_participant_outputs(now, txn, outputs, None, from, &mut out);
+                self.apply_participant_outputs(now, txn, outputs, None, from, out);
             }
 
             Msg::PolicyGossip { policy_id, version } => {
@@ -1675,7 +1235,7 @@ impl<A: Clone> ServerCore<A> {
                     let state = self.txns.get_mut(&txn).expect("guard checked");
                     state.participant.on_decision(decision)
                 };
-                self.apply_participant_outputs(now, txn, outputs, None, from, &mut out);
+                self.apply_participant_outputs(now, txn, outputs, None, from, out);
             }
 
             // A coalesced envelope is the inner messages in order. The
@@ -1683,13 +1243,12 @@ impl<A: Clone> ServerCore<A> {
             // server normally never sees one; handled for completeness.
             Msg::Batch(msgs) => {
                 for inner in msgs {
-                    out.extend(self.handle(now, from.clone(), inner));
+                    self.dispatch(now, from.clone(), inner, out);
                 }
             }
 
             _ => {}
         }
-        out
     }
 
     /// Crash: volatile state is lost. Prepared(YES) transactions survive —
@@ -1697,7 +1256,7 @@ impl<A: Clone> ServerCore<A> {
     /// prepare record; everything else (locks, unprepared transactions,
     /// the applied-decision memo) is discarded.
     pub fn crash(&mut self) {
-        self.locks.clear();
+        self.locks = LockManager::new();
         // Snapshots are volatile like locks. Survivors are past execution
         // (prepared), so they never read again; orphan their snapshot
         // handles so a post-recovery release cannot touch a snapshot some
@@ -1756,7 +1315,7 @@ impl<A: Clone> ServerCore<A> {
     /// decision records, restoring the ghost-resurrection guard for every
     /// transaction whose decision reached this server before the crash.
     pub fn recover_from_wal(&mut self) -> Vec<TxnId> {
-        self.locks.clear();
+        self.locks = LockManager::new();
         self.mvcc.clear();
         self.decided.clear();
         let records: Vec<ParticipantRecord> = self.wal.records().cloned().collect();
@@ -2549,104 +2108,49 @@ mod tests {
         );
     }
 
-    fn eval_query(action: &str) -> Arc<QuerySpec> {
-        Arc::new(QuerySpec::new(
+    #[test]
+    fn round_dedups_identical_requests() {
+        // Regression for the redundant-evaluation race: N misses on one key
+        // within a round must not all run the engine.
+        let mut fx = fixture();
+        let query = Arc::new(QuerySpec::new(
             ServerId::new(0),
-            action,
+            "write",
             "records",
             vec![Operation::Read(DataItemId::new(0))],
-        ))
-    }
-
-    #[test]
-    fn batch_dedups_identical_requests_within_a_round() {
-        // Regression for the documented redundant-evaluation race: before
-        // batching, N concurrent misses on one key all ran the engine.
-        let fx = fixture();
-        let data = fx.core.data_plane();
-        let query = eval_query("write");
-        let creds = [fx.credential.clone()];
-        let mut batch = data.begin_batch(Timestamp::from_millis(1));
-        let proofs: Vec<_> = (0..4)
-            .map(|_| batch.evaluate_one(UserId::new(1), &creds, &query))
+        ));
+        let round: Vec<(u8, Msg)> = (1..=4)
+            .map(|t| {
+                (
+                    TM,
+                    Msg::ExecQuery {
+                        txn: TxnId::new(t),
+                        query_index: 0,
+                        query: Arc::clone(&query),
+                        user: UserId::new(1),
+                        credentials: Arc::from([fx.credential.clone()]),
+                        evaluate_proof: true,
+                        pin_versions: VersionMap::new(),
+                        capabilities: vec![],
+                    },
+                )
+            })
             .collect();
-        drop(batch);
-        assert!(proofs
-            .iter()
-            .all(safetx_policy::ProofOfAuthorization::truth));
+        let out = fx.core.handle_round(Timestamp::from_millis(1), round);
+        assert_eq!(out.len(), 4);
+        assert!(out.iter().all(|(_, m)| matches!(
+            m,
+            Msg::QueryDone { ok: true, proof: Some(p), .. } if p.truth()
+        )));
         assert_eq!(
-            data.engine_evaluations(),
+            fx.core.data_plane().engine_evaluations(),
             1,
             "identical requests in one round must evaluate once"
         );
         let counters = fx.core.counters();
         assert_eq!(counters.proofs, 4, "Table I accounting unchanged");
         assert_eq!(counters.proof_cache.misses, 1);
-        assert_eq!(counters.proof_cache.hits, 3, "dedup reuse counts as hits");
-    }
-
-    #[test]
-    fn batch_dedups_even_with_the_cache_disabled() {
-        let mut fx = fixture();
-        fx.core.set_proof_cache(false);
-        let data = fx.core.data_plane();
-        let query = eval_query("write");
-        let creds = [fx.credential.clone()];
-        let mut batch = data.begin_batch(Timestamp::from_millis(1));
-        for _ in 0..3 {
-            assert!(batch.evaluate_one(UserId::new(1), &creds, &query).truth());
-        }
-        drop(batch);
-        assert_eq!(data.engine_evaluations(), 1);
-        let counters = fx.core.counters();
-        assert_eq!(counters.proofs, 3);
-        assert_eq!(
-            counters.proof_cache,
-            safetx_metrics::ProofCacheStats::default(),
-            "disabled cache stays inert under batching too"
-        );
-    }
-
-    #[test]
-    fn batch_outcomes_match_unbatched_evaluation() {
-        // Same data plane, cache off so both paths do full evaluations:
-        // the batch must reproduce the unbatched proofs field for field.
-        let mut fx = fixture();
-        fx.core.set_proof_cache(false);
-        let data = fx.core.data_plane();
-        let creds = [fx.credential.clone()];
-        let queries = [eval_query("write"), eval_query("read"), eval_query("drop")];
-        let now = Timestamp::from_millis(1);
-        let unbatched: Vec<_> = queries
-            .iter()
-            .map(|q| data.evaluate_one(now, UserId::new(1), &creds, q))
-            .collect();
-        let mut batch = data.begin_batch(now);
-        let batched: Vec<_> = queries
-            .iter()
-            .map(|q| batch.evaluate_one(UserId::new(1), &creds, q))
-            .collect();
-        drop(batch);
-        assert_eq!(batched, unbatched);
-        assert!(batched[0].truth() && batched[1].truth());
-        assert!(
-            !batched[2].truth(),
-            "underivable action denied in batch too"
-        );
-    }
-
-    #[test]
-    fn batch_snapshot_evaluation_matches_per_snapshot_path() {
-        let mut fx = fixture();
-        let txn = TxnId::new(1);
-        exec_query(&mut fx, txn, false);
-        let snapshot = fx.core.snapshot_txn(txn).expect("registered");
-        let data = fx.core.data_plane();
-        let now = Timestamp::from_millis(2);
-        let single = data.evaluate_snapshot(now, &snapshot);
-        let batched = data.evaluate_batch(now, std::slice::from_ref(&snapshot));
-        assert_eq!(batched.len(), 1);
-        assert_eq!(batched[0], single);
+        assert_eq!(counters.proof_cache.hits, 3);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! connects the same hosts over filesystem sockets — see
 //! `examples/net_processes.rs`).
 //!
-//! The batched-round + group-commit semantics of the threaded runtime are
-//! preserved: a server drains up to `server_batch` decoded frames per
-//! round, opens one WAL group around the round's protocol handling, runs
-//! the round's proof evaluations as one data-plane batch, and coalesces
-//! replies per peer into a single [`Msg::Batch`] frame. Peer disconnects
+//! A server round is the threaded runtime's: a server drains up to
+//! `server_batch` decoded frames, hands them to `ServerCore::handle_round`
+//! (one WAL group, proofs evaluated inline), and coalesces the replies per
+//! peer into a single [`Msg::Batch`] frame. Peer disconnects
 //! surface through the existing failure detector — a reply that never
 //! arrives trips `ClusterConfig::reply_timeout` and the core aborts with
 //! `AbortReason::ServerUnavailable`; reconnecting resumes traffic under
@@ -25,9 +24,8 @@ use crate::fault::{
 use crate::wire::{decode_msg, encode_msg, read_frame, write_frame};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use safetx_core::{
-    coalesce_replies, reply_counts_as_dropped, AbortReason, EvalSnapshot, Msg, ResourcePolicyMap,
-    ServerCore, SharedCas, SharedCatalog, TmConfig, TmCore, TmEffect, TmEvent, TxnTermination,
-    ValidationReply, VersionMap,
+    coalesce_replies, reply_counts_as_dropped, AbortReason, Msg, ResourcePolicyMap, ServerCore,
+    SharedCas, SharedCatalog, TmConfig, TmCore, TmEffect, TmEvent, TxnTermination,
 };
 use safetx_metrics::{FaultCounters, TransportCounters};
 use safetx_policy::{CaRegistry, CertificateAuthority, Credential};
@@ -35,8 +33,8 @@ use safetx_runtime::{
     resolve_batch, resolve_concurrency, ClusterConfig, CrashPoint, ExecutionResult, MsgKind, Peer,
 };
 use safetx_store::Wal;
-use safetx_txn::{CoordinatorRecord, Decision, InquiryAnswer, QuerySpec, TransactionSpec, Vote};
-use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId, UserId};
+use safetx_txn::{CoordinatorRecord, Decision, InquiryAnswer, TransactionSpec};
+use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::UnixStream;
@@ -241,10 +239,9 @@ struct PeerLink {
 /// One cloud server running as an event loop over byte streams.
 ///
 /// The host owns the `ServerCore` and every connection to it. Frames are
-/// decoded by per-connection reader threads and processed in batched
-/// rounds identical to the threaded runtime's: protocol handling under one
-/// WAL group, proof evaluation as one data-plane batch, replies coalesced
-/// per peer into one frame.
+/// decoded by per-connection reader threads and processed in rounds
+/// identical to the threaded runtime's: `ServerCore::handle_round` under
+/// one WAL group, replies coalesced per peer into one frame.
 pub struct ServerHost {
     /// The live loop's input channel; replaced on respawn after a crash.
     tx: Mutex<Sender<HostInput>>,
@@ -481,8 +478,8 @@ fn spawn_host_reader(
 }
 
 /// The server host's event loop: the socket-runtime analogue of the
-/// threaded runtime's `server_loop` + `process_round`, with proof
-/// evaluation inline (the loop is the server's single thread).
+/// threaded runtime's `server_loop` (the loop is the server's single
+/// thread).
 ///
 /// The loop exits in one of two ways. A `Shutdown` (or a closed channel)
 /// is a clean stop. A crash — `HostInput::Crash` from the harness, or a
@@ -612,27 +609,9 @@ fn host_loop(
     }
 }
 
-/// A proof evaluation deferred to the round's data-plane batch (mirrors
-/// the threaded runtime's `EvalTask`).
-enum EvalTask {
-    Query {
-        txn: TxnId,
-        query_index: usize,
-        query: Arc<QuerySpec>,
-        user: UserId,
-        credentials: Arc<[Credential]>,
-        to: NetAddr,
-    },
-    Snapshot {
-        txn: TxnId,
-        snapshot: EvalSnapshot,
-        to: NetAddr,
-    },
-}
-
-/// Processes one batched round: protocol handling inline under one WAL
-/// group, the round's proof evaluations as one data-plane batch, replies
-/// coalesced per peer and flushed once per touched connection.
+/// Processes one round: cuts it at a scheduled crash point, hands the rest
+/// to [`ServerCore::handle_round`], and writes the replies coalesced per
+/// peer, one frame and one flush per touched connection.
 ///
 /// Returns `true` when a scheduled crash point fired: `BeforeReceive`
 /// kills the server with the matching message (and the rest of the round)
@@ -679,157 +658,10 @@ fn process_round(
         }
     }
     flat.truncate(cut);
-
-    let now = now_since(epoch);
-    let mut inline: Vec<(NetAddr, Msg)> = Vec::new();
-    let mut tasks: Vec<EvalTask> = Vec::new();
-    core.begin_wal_group();
-    {
-        for (from, msg) in flat {
-            if core.unsafe_baseline() {
-                inline.extend(core.handle(now, from, msg));
-                continue;
-            }
-            match msg {
-                Msg::ExecQuery {
-                    txn,
-                    query_index,
-                    query,
-                    user,
-                    credentials,
-                    evaluate_proof: true,
-                    pin_versions,
-                    capabilities,
-                } => {
-                    let replies = core.handle(
-                        now,
-                        from,
-                        Msg::ExecQuery {
-                            txn,
-                            query_index,
-                            query: Arc::clone(&query),
-                            user,
-                            credentials: Arc::clone(&credentials),
-                            evaluate_proof: false,
-                            pin_versions,
-                            capabilities,
-                        },
-                    );
-                    let ok = replies
-                        .iter()
-                        .any(|(_, m)| matches!(m, Msg::QueryDone { ok: true, .. }));
-                    if ok {
-                        tasks.push(EvalTask::Query {
-                            txn,
-                            query_index,
-                            query,
-                            user,
-                            credentials,
-                            to: from,
-                        });
-                    } else {
-                        inline.extend(replies);
-                    }
-                }
-                Msg::PrepareToValidate {
-                    txn,
-                    new_query,
-                    user,
-                    credentials,
-                } => {
-                    if let Some(snapshot) =
-                        core.register_validation(txn, new_query, user, credentials, from)
-                    {
-                        tasks.push(EvalTask::Snapshot {
-                            txn,
-                            snapshot,
-                            to: from,
-                        });
-                    }
-                }
-                Msg::Update {
-                    txn,
-                    targets,
-                    in_commit: false,
-                } => {
-                    core.data_plane().fast_forward(&targets);
-                    match core.snapshot_txn(txn) {
-                        Some(snapshot) => tasks.push(EvalTask::Snapshot {
-                            txn,
-                            snapshot,
-                            to: from,
-                        }),
-                        None => inline.push((
-                            from,
-                            Msg::ValidateReply {
-                                txn,
-                                reply: ValidationReply {
-                                    vote: Vote::Yes,
-                                    truth: true,
-                                    versions: VersionMap::new(),
-                                    proofs: Vec::new(),
-                                    conflict: false,
-                                },
-                            },
-                        )),
-                    }
-                }
-                other => inline.extend(core.handle(now, from, other)),
-            }
-        }
-    }
-    // The WAL group closes — performing the round's one physical sync —
-    // before any reply leaves, so a vote never outruns the force it
-    // acknowledges.
-    core.end_wal_group();
-    let mut outputs = inline;
-    if !tasks.is_empty() {
-        let data = core.data_plane();
-        let mut batch = data.begin_batch(now_since(epoch));
-        for task in tasks {
-            match task {
-                EvalTask::Query {
-                    txn,
-                    query_index,
-                    query,
-                    user,
-                    credentials,
-                    to,
-                } => {
-                    let proof = batch.evaluate_one(user, &credentials, &query);
-                    outputs.push((
-                        to,
-                        Msg::QueryDone {
-                            txn,
-                            query_index,
-                            ok: true,
-                            proof: Some(proof),
-                            capability: None,
-                        },
-                    ));
-                }
-                EvalTask::Snapshot { txn, snapshot, to } => {
-                    let (truth, versions, proofs) = batch.evaluate_snapshot(&snapshot);
-                    outputs.push((
-                        to,
-                        Msg::ValidateReply {
-                            txn,
-                            reply: ValidationReply {
-                                vote: Vote::Yes,
-                                truth,
-                                versions,
-                                proofs,
-                                conflict: false,
-                            },
-                        },
-                    ));
-                }
-            }
-        }
-    }
-    // One frame (and one flush) per destination per round; a disconnected
-    // peer is fine to ignore, like a dead channel in the threaded runtime.
-    crashed | send_frames(links, fabric, server, coalesce_replies(outputs, |a| a.0))
+    let replies = core.handle_round(now_since(epoch), flat);
+    // A disconnected peer is fine to ignore, like a dead channel in the
+    // threaded runtime.
+    crashed | send_frames(links, fabric, server, coalesce_replies(replies, |a| a.0))
 }
 
 /// Writes one frame per message through the fault fabric, flushing each.

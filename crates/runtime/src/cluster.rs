@@ -5,16 +5,15 @@ use crate::fault::{
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use safetx_core::{
-    coalesce_replies, reply_counts_as_dropped, AbortReason, ConcurrencyMode, ConsistencyLevel,
-    EvalSnapshot, Msg, ProofScheme, ResourcePolicyMap, ServerCore, SharedCas, SharedCatalog,
-    TmConfig, TmCore, TmEffect, TmEvent, TransactionView, TxnOutcome, TxnTermination,
-    ValidationReply, VersionMap,
+    coalesce_replies, reply_counts_as_dropped, AbortReason, ConcurrencyMode, ConsistencyLevel, Msg,
+    ProofScheme, ResourcePolicyMap, ServerCore, SharedCas, SharedCatalog, TmConfig, TmCore,
+    TmEffect, TmEvent, TransactionView, TxnOutcome, TxnTermination, VersionMap,
 };
 use safetx_metrics::{FaultCounters, ProtocolMetrics};
 use safetx_policy::{CaRegistry, CertificateAuthority, Credential};
 use safetx_store::Wal;
-use safetx_txn::{CommitVariant, CoordinatorRecord, QuerySpec, TransactionSpec, Vote};
-use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId, UserId};
+use safetx_txn::{CommitVariant, CoordinatorRecord, TransactionSpec};
+use safetx_types::{CaId, PolicyId, PolicyVersion, ServerId, Timestamp, TxnId};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -302,10 +301,9 @@ pub struct ClusterConfig {
     /// set it.
     pub reply_timeout: Option<Duration>,
     /// Maximum protocol messages one server-loop iteration drains and
-    /// processes as a single round (shared proof-evaluation batch, one WAL
-    /// group commit, coalesced replies). `None` defers to the
-    /// `SAFETX_SERVER_BATCH` environment variable, then to `1` — which
-    /// keeps the exact message-at-a-time loop.
+    /// handles as a single round (one WAL group commit, replies coalesced
+    /// per destination). `None` defers to the `SAFETX_SERVER_BATCH`
+    /// environment variable, then to `1` — a round of one message.
     pub server_batch: Option<usize>,
     /// Simulated cost of one physical WAL sync (spin-waited inside
     /// `Wal::force`/group close). `None` makes syncs free, the historical
@@ -336,7 +334,8 @@ impl Default for ClusterConfig {
 }
 
 /// Resolves the server-round batch limit: explicit config, then the
-/// `SAFETX_SERVER_BATCH` environment variable, then `1` (batching off).
+/// `SAFETX_SERVER_BATCH` environment variable, then `1` (one message per
+/// round).
 ///
 /// Public so alternative deployments of the same [`ClusterConfig`] (the
 /// socket runtime in `safetx-net`) resolve the limit identically.
@@ -1319,15 +1318,13 @@ fn now_since(epoch: Instant) -> Timestamp {
     Timestamp::from_micros(epoch.elapsed().as_micros() as u64)
 }
 
-/// Sends protocol-core outputs to their destinations through the fabric.
-/// A dead peer (a finished coordinator, a crashed server) is fine to
-/// ignore.
-fn forward(outputs: Vec<(Addr, Msg)>, my_addr: &Addr, net: &Net) {
-    for (to, out) in outputs {
-        net.send_proto(my_addr, &to, out);
-    }
-}
-
+/// A server thread: each iteration blocks for one input, then drains up to
+/// `batch` protocol messages already queued and hands them to
+/// [`ServerCore::handle_round`] as one round (at `batch = 1`, a round of one
+/// message). Control inputs act as barriers — the round that was open when
+/// one arrives completes first, then the control input runs, preserving the
+/// FIFO semantics `configure_server` callers (and `resolve_in_doubt`'s
+/// no-op barrier) rely on.
 fn server_loop(
     mut core: ServerCore<Addr>,
     rx: Receiver<Input>,
@@ -1337,57 +1334,34 @@ fn server_loop(
     net: Arc<Net>,
     salvage: Salvage,
 ) {
-    let crashed = if batch <= 1 {
-        // Message-at-a-time: the exact pre-batching loop.
-        loop {
-            let Ok(input) = rx.recv() else { break false };
-            match input {
-                Input::Proto(from, msg) => {
-                    forward(core.handle(now_since(epoch), from, msg), &my_addr, &net);
-                }
-                Input::Configure(f, done) => {
-                    f(&mut core);
-                    let _ = done.send(());
-                }
-                Input::Crash => break true,
-                Input::Shutdown => break false,
+    let mut round: Vec<(Addr, Msg)> = Vec::new();
+    let crashed = loop {
+        let Ok(first) = rx.recv() else { break false };
+        let mut control = None;
+        match first {
+            Input::Proto(from, msg) => round.push((from, msg)),
+            other => control = Some(other),
+        }
+        while control.is_none() && round.len() < batch {
+            match rx.try_recv() {
+                Ok(Input::Proto(from, msg)) => round.push((from, msg)),
+                Ok(other) => control = Some(other),
+                Err(_) => break,
             }
         }
-    } else {
-        // Batched: each iteration blocks for one input, then drains up to
-        // `batch` protocol messages already queued and processes them as a
-        // single round. Control inputs act as barriers — the round that was
-        // open when one arrives completes first, then the control input
-        // runs, preserving the FIFO semantics `configure_server` callers
-        // (and `resolve_in_doubt`'s no-op barrier) rely on.
-        loop {
-            let Ok(first) = rx.recv() else { break false };
-            let mut round: Vec<(Addr, Msg)> = Vec::new();
-            let mut control = None;
-            match first {
-                Input::Proto(from, msg) => round.push((from, msg)),
-                other => control = Some(other),
+        if !round.is_empty() {
+            let replies = core.handle_round(now_since(epoch), round.drain(..));
+            send_coalesced(replies, &my_addr, &net);
+        }
+        match control {
+            None => {}
+            Some(Input::Configure(f, done)) => {
+                f(&mut core);
+                let _ = done.send(());
             }
-            while control.is_none() && round.len() < batch {
-                match rx.try_recv() {
-                    Ok(Input::Proto(from, msg)) => round.push((from, msg)),
-                    Ok(other) => control = Some(other),
-                    Err(_) => break,
-                }
-            }
-            if !round.is_empty() {
-                process_round(&mut core, &my_addr, epoch, round, &net);
-            }
-            match control {
-                None => {}
-                Some(Input::Configure(f, done)) => {
-                    f(&mut core);
-                    let _ = done.send(());
-                }
-                Some(Input::Crash) => break true,
-                Some(Input::Shutdown) => break false,
-                Some(Input::Proto(..)) => unreachable!("proto inputs join the round"),
-            }
+            Some(Input::Crash) => break true,
+            Some(Input::Shutdown) => break false,
+            Some(Input::Proto(..)) => unreachable!("proto inputs join the round"),
         }
     };
     if crashed {
@@ -1403,211 +1377,12 @@ fn server_loop(
     }
 }
 
-/// One proof evaluation deferred to the end of a batched round. Its
-/// protocol-plane half (registration, locks, write set, WAL) already ran;
-/// the round's tasks are evaluated together as one data-plane batch.
-enum EvalTask {
-    /// An `ExecQuery` whose data operations succeeded: evaluate the proof
-    /// and reply `QueryDone`.
-    Query {
-        txn: TxnId,
-        query_index: usize,
-        query: Arc<QuerySpec>,
-        user: UserId,
-        credentials: Arc<[Credential]>,
-        to: Addr,
-    },
-    /// A 2PV contact (`PrepareToValidate` or a standalone `Update` round):
-    /// evaluate the snapshot and reply `ValidateReply`.
-    Snapshot {
-        txn: TxnId,
-        snapshot: EvalSnapshot,
-        to: Addr,
-    },
-}
-
-/// Processes one batched server round: protocol-plane handling for every
-/// message runs first (in arrival order, under one WAL group so the
-/// round's forced appends coalesce into a single physical sync), then the
-/// round's proof evaluations run as **one** data-plane batch sharing policy
-/// fetches, credential saturations and within-round dedup, and every reply
-/// to the same destination leaves as one coalesced [`Msg::Batch`] send.
-///
-/// The WAL group closes — performing the round's one physical sync —
-/// before any reply is released, so a vote still never outruns the force
-/// it acknowledges. Evaluation replies involve no forces.
-fn process_round(
-    core: &mut ServerCore<Addr>,
-    my_addr: &Addr,
-    epoch: Instant,
-    round: Vec<(Addr, Msg)>,
-    net: &Net,
-) {
-    let now = now_since(epoch);
-    let mut inline: Vec<(Addr, Msg)> = Vec::new();
-    let mut tasks: Vec<EvalTask> = Vec::new();
-    core.begin_wal_group();
-    for (from, msg) in round {
-        // Servers are not coalescing targets today, but a Batch envelope is
-        // by definition its inner messages in order.
-        let msgs = match msg {
-            Msg::Batch(inner) => inner,
-            other => vec![other],
-        };
-        for msg in msgs {
-            // The unsafe baseline measures capability-shortcut hazards that
-            // depend on exact interleavings: keep it fully inline.
-            if core.unsafe_baseline() {
-                inline.extend(core.handle(now, from.clone(), msg));
-                continue;
-            }
-            match msg {
-                Msg::ExecQuery {
-                    txn,
-                    query_index,
-                    query,
-                    user,
-                    credentials,
-                    evaluate_proof: true,
-                    pin_versions,
-                    capabilities,
-                } => {
-                    let replies = core.handle(
-                        now,
-                        from.clone(),
-                        Msg::ExecQuery {
-                            txn,
-                            query_index,
-                            query: Arc::clone(&query),
-                            user,
-                            credentials: Arc::clone(&credentials),
-                            evaluate_proof: false,
-                            pin_versions,
-                            capabilities,
-                        },
-                    );
-                    let ok = replies
-                        .iter()
-                        .any(|(_, m)| matches!(m, Msg::QueryDone { ok: true, .. }));
-                    if ok {
-                        tasks.push(EvalTask::Query {
-                            txn,
-                            query_index,
-                            query,
-                            user,
-                            credentials,
-                            to: from.clone(),
-                        });
-                    } else {
-                        // Lock conflict: the inline reply already says so.
-                        inline.extend(replies);
-                    }
-                }
-                Msg::PrepareToValidate {
-                    txn,
-                    new_query,
-                    user,
-                    credentials,
-                } => {
-                    if let Some(snapshot) =
-                        core.register_validation(txn, new_query, user, credentials, from.clone())
-                    {
-                        tasks.push(EvalTask::Snapshot {
-                            txn,
-                            snapshot,
-                            to: from.clone(),
-                        });
-                    }
-                    // None: duplicated/delayed round for a decided
-                    // transaction — no reply owed.
-                }
-                Msg::Update {
-                    txn,
-                    targets,
-                    in_commit: false,
-                } => {
-                    core.data_plane().fast_forward(&targets);
-                    match core.snapshot_txn(txn) {
-                        Some(snapshot) => tasks.push(EvalTask::Snapshot {
-                            txn,
-                            snapshot,
-                            to: from.clone(),
-                        }),
-                        // Same vacuous reply ServerCore::handle produces for
-                        // a transaction with no state here.
-                        None => inline.push((
-                            from.clone(),
-                            Msg::ValidateReply {
-                                txn,
-                                reply: ValidationReply {
-                                    vote: Vote::Yes,
-                                    truth: true,
-                                    versions: VersionMap::new(),
-                                    proofs: Vec::new(),
-                                    conflict: false,
-                                },
-                            },
-                        )),
-                    }
-                }
-                other => inline.extend(core.handle(now, from.clone(), other)),
-            }
-        }
-    }
-    core.end_wal_group();
-    let mut outputs = inline;
-    if !tasks.is_empty() {
-        let data = core.data_plane();
-        let mut batch = data.begin_batch(now_since(epoch));
-        for task in tasks {
-            match task {
-                EvalTask::Query {
-                    txn,
-                    query_index,
-                    query,
-                    user,
-                    credentials,
-                    to,
-                } => {
-                    let proof = batch.evaluate_one(user, &credentials, &query);
-                    outputs.push((
-                        to,
-                        Msg::QueryDone {
-                            txn,
-                            query_index,
-                            ok: true,
-                            proof: Some(proof),
-                            capability: None,
-                        },
-                    ));
-                }
-                EvalTask::Snapshot { txn, snapshot, to } => {
-                    let (truth, versions, proofs) = batch.evaluate_snapshot(&snapshot);
-                    outputs.push((
-                        to,
-                        Msg::ValidateReply {
-                            txn,
-                            reply: ValidationReply {
-                                vote: Vote::Yes,
-                                truth,
-                                versions,
-                                proofs,
-                                conflict: false,
-                            },
-                        },
-                    ));
-                }
-            }
-        }
-    }
-    send_coalesced(outputs, my_addr, net);
-}
-
 /// Sends a round's outputs through the shared coalescing helper, keyed by
 /// [`Addr::id`] — process-unique per reply channel, which satisfies
 /// [`coalesce_replies`]'s key invariant because this runtime never reuses
 /// a channel across logical peers (see the invariant documented on
-/// `safetx_core::coalesce_replies`).
+/// `safetx_core::coalesce_replies`). A dead peer (a finished coordinator,
+/// a crashed server) is fine to ignore.
 fn send_coalesced(outputs: Vec<(Addr, Msg)>, my_addr: &Addr, net: &Net) {
     for (to, msg) in coalesce_replies(outputs, |a| a.id) {
         net.send_proto(my_addr, &to, msg);

@@ -30,7 +30,7 @@ mod wal;
 
 pub use constraints::{ConstraintSet, ConstraintViolation, IntegrityConstraint};
 pub use kv::{LocalStore, VersionedItem, WriteSet};
-pub use locks::{LockManager, LockMode, LockOutcome, ShardedLockManager, LOCK_SHARDS};
+pub use locks::{LockManager, LockMode, LockOutcome};
 pub use occ::{MvccOverlay, ReadSet, SnapshotId};
 pub use value::Value;
 pub use wal::{Wal, WalEntry};

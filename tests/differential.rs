@@ -555,8 +555,8 @@ fn net_runtime_agrees_with_sim_and_threaded_on_every_cell() {
 }
 
 /// The batched threaded runtime is held to the same oracle: with
-/// server-round batching on (inbox draining, shared evaluation batches,
-/// group commit, coalesced replies) every cell must still match the
+/// server-round batching on (inbox draining, group commit, coalesced
+/// replies) every cell must still match the
 /// simulator observation for observation — including the Table I counters
 /// and proof views.
 #[test]

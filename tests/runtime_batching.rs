@@ -1,9 +1,8 @@
-//! Server-round batching equivalence: draining the server inbox, sharing
-//! one proof-evaluation batch per round, group-committing the round's WAL
-//! forces and coalescing replies is a throughput optimisation, not a
-//! semantic change. The same workload must produce identical deterministic
-//! outcomes with batching off (`server_batch: Some(1)`, the exact
-//! message-at-a-time loop) and at any batch size — across every scheme ×
+//! Server-round batching equivalence: draining the server inbox into one
+//! round, group-committing the round's WAL forces and coalescing replies is
+//! a throughput optimisation, not a semantic change. The same workload must
+//! produce identical deterministic outcomes with one message per round
+//! (`server_batch: Some(1)`) and at any batch size — across every scheme ×
 //! consistency cell.
 //!
 //! What batching *is* allowed to change is the physical-sync count: the
