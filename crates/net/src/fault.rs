@@ -75,9 +75,9 @@ pub struct NetEdgeRule {
 /// A complete seeded transport fault schedule for one net-cluster run.
 ///
 /// Crash rules reuse the threaded runtime's [`CrashRule`]: the victim is
-/// a [`ServerHost`](crate::ServerHost) event loop, and the protocol
-/// moments ([`CrashPoint`]) are interpreted against the frames it
-/// receives and sends.
+/// a [`ServerHost`](crate::ServerHost), and the protocol moments
+/// ([`CrashPoint`]) are interpreted against the frames its rounds receive
+/// and send.
 #[derive(Debug, Clone, Default)]
 pub struct NetFaultPlan {
     /// Seed for every probabilistic roll.
@@ -251,7 +251,7 @@ pub(crate) struct NetFaultStats {
     pub(crate) corrupted: AtomicU64,
     pub(crate) truncated: AtomicU64,
     pub(crate) disconnects: AtomicU64,
-    /// Host event loops torn down by a crash (scheduled or harness-driven).
+    /// Server hosts torn down by a crash (scheduled or harness-driven).
     pub(crate) server_crashes: AtomicU64,
     /// Hosts rebuilt from their WAL after a crash.
     pub(crate) recoveries: AtomicU64,

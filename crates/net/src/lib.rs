@@ -4,9 +4,11 @@
 //! state machines as in-memory objects. This crate is the third
 //! deployment of the same machines, with nothing shared but bytes: a
 //! hand-rolled length-prefixed binary codec for every message ([`wire`]),
-//! and a socket runtime ([`NetCluster`]) where each cloud server is an
-//! event loop behind a `UnixStream` and the TM drives `TmCore` by
-//! encoding frames and demultiplexing framed replies.
+//! and a socket runtime ([`NetCluster`]) where each cloud server sits
+//! behind `UnixStream`s and the TM drives `TmCore` by encoding frames. The
+//! thread that reads a frame handles it: a server's connection reader runs
+//! the round, and a TM reader steps the transaction the reply belongs to;
+//! no decoded message is relayed to another thread.
 //!
 //! Differential tests pin the whole stack: for every scheme×consistency
 //! cell the net runtime must produce byte-identical outcomes, abort

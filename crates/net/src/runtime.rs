@@ -1,28 +1,42 @@
 //! Unix-socket deployment of the safetx protocol state machines.
 //!
 //! Every protocol message crosses a real byte stream: each cloud server
-//! runs as its own event loop behind a [`ServerHost`], each TM drives the
-//! sans-io `TmCore` from [`NetCluster::execute`], and the two sides talk
-//! exclusively through framed [`crate::wire`] messages over `UnixStream`s
-//! (in-process duplex pairs by default; a multi-process deployment
-//! connects the same hosts over filesystem sockets — see
-//! `examples/net_processes.rs`).
+//! sits behind a [`ServerHost`], each TM drives the sans-io `TmCore` from
+//! [`NetCluster::execute`], and the two sides talk exclusively through
+//! framed [`crate::wire`] messages over `UnixStream`s (in-process duplex
+//! pairs by default; a multi-process deployment connects the same hosts over
+//! filesystem sockets — see `examples/net_processes.rs`).
 //!
-//! A server round is the threaded runtime's: a server drains up to
-//! `server_batch` decoded frames, hands them to `ServerCore::handle_round`
-//! (one WAL group, proofs evaluated inline), and coalesces the replies per
-//! peer into a single [`Msg::Batch`] frame. Peer disconnects
-//! surface through the existing failure detector — a reply that never
-//! arrives trips `ClusterConfig::reply_timeout` and the core aborts with
-//! `AbortReason::ServerUnavailable`; reconnecting resumes traffic under
-//! the peer's original logical id (see `safetx_core::coalesce_replies`
-//! for why the id must survive the reconnect).
+//! The thread that reads a frame handles it; no decoded message is handed
+//! to another thread. On a server, each connection's reader decodes a
+//! frame, takes the further complete frames already buffered on that
+//! connection (up to `server_batch`), and runs the round under the host's
+//! lock: `ServerCore::handle_round` (one WAL group, proofs evaluated
+//! inline), replies coalesced per peer into one [`Msg::Batch`] frame. On
+//! the TM, each in-flight transaction is a slot holding its `TmCore`; the
+//! reader that decodes a reply steps that core and performs its effects
+//! (sends, decision-log writes, the master consult) itself, while
+//! `execute` performs only the start and waits for the termination or the
+//! reply deadline.
+//!
+//! Locks are taken in one order: transaction slot → TM link writer → host
+//! state. A host reader holds only its host's lock, and a TM reader never
+//! holds a host lock while it waits for a slot. The one wait that could
+//! still close a cycle is a socket write blocked on a full buffer, and
+//! each edge carries at most the frames of the transactions in flight (a
+//! few hundred bytes each), far below a Unix socket's buffer.
+//!
+//! Peer disconnects surface through the existing failure detector — a
+//! reply that never arrives trips `ClusterConfig::reply_timeout` and the
+//! core aborts with `AbortReason::ServerUnavailable`; reconnecting resumes
+//! traffic under the peer's original logical id (see
+//! `safetx_core::coalesce_replies` for why the id must survive the
+//! reconnect).
 
 use crate::fault::{
     corrupt_payload, splitmix64, truncate_len, NetFabric, NetFaultPlan, NetVerdict,
 };
 use crate::wire::{decode_msg, encode_msg, read_frame, write_frame};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use safetx_core::{
     coalesce_replies, reply_counts_as_dropped, AbortReason, Msg, ResourcePolicyMap, ServerCore,
     SharedCas, SharedCatalog, TmConfig, TmCore, TmEffect, TmEvent, TxnTermination,
@@ -39,7 +53,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -52,7 +66,7 @@ use std::time::{Duration, Instant};
 pub struct NetAddr(pub u64);
 
 /// One side's transport accounting for one edge. Shared between the
-/// thread that writes frames and the thread that reads them.
+/// threads that write frames and the thread that reads them.
 #[derive(Debug, Default)]
 pub struct EdgeStats {
     frames_sent: AtomicU64,
@@ -99,31 +113,6 @@ impl EdgeStats {
     }
 }
 
-/// A configuration closure applied on a server host's event loop.
-type ConfigureFn = Box<dyn FnOnce(&mut ServerCore<NetAddr>) + Send>;
-
-/// Inputs to a server host's event loop.
-#[allow(clippy::large_enum_variant)]
-enum HostInput {
-    /// A decoded protocol frame from a connected peer.
-    Proto(NetAddr, Msg),
-    /// Harness-side configuration (seed data, install policies). Control
-    /// plane only — it never crosses the wire.
-    Configure(ConfigureFn, Sender<()>),
-    /// Register (or replace) the connection carrying a peer's traffic.
-    Attach(u64, UnixStream),
-    /// A reader thread observed EOF or an I/O error on the connection of
-    /// this (peer, generation); the host drops the matching writer.
-    Detach(u64, u64),
-    /// Protocol messages the host itself must place on the wire
-    /// (post-recovery coordinator inquiries for in-doubt transactions).
-    Emit(Vec<(NetAddr, Msg)>),
-    /// Kill the event loop as if the process died: volatile state is
-    /// lost, the core is salvaged (store + WAL) for a later restart.
-    Crash,
-    Shutdown,
-}
-
 /// What the fault fabric did with one outbound frame.
 enum WireFate {
     /// The stream is still usable (frame written, dropped, duplicated…).
@@ -139,21 +128,21 @@ fn write_raw_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<usize
     Ok(4 + payload.len())
 }
 
+/// True when `buffered` starts with a whole frame, so reading it cannot
+/// block.
+fn frame_buffered(buffered: &[u8]) -> bool {
+    match buffered.get(..4) {
+        Some(&[a, b, c, d]) => buffered.len() - 4 >= u32::from_le_bytes([a, b, c, d]) as usize,
+        _ => false,
+    }
+}
+
 /// The message kind a frame rolls under (a `Batch` envelope rolls under
 /// its first inner message — one frame, one roll).
 fn frame_kind(msg: &Msg) -> MsgKind {
     match msg {
         Msg::Batch(inner) => inner.first().map(MsgKind::of).unwrap_or(MsgKind::Other),
         other => MsgKind::of(other),
-    }
-}
-
-/// Every protocol moment a frame carries (crash points match any inner
-/// message of a coalesced envelope).
-fn frame_kinds(msg: &Msg) -> Vec<MsgKind> {
-    match msg {
-        Msg::Batch(inner) => inner.iter().map(MsgKind::of).collect(),
-        other => vec![MsgKind::of(other)],
     }
 }
 
@@ -221,227 +210,299 @@ fn write_through_fabric<W: Write>(
     }
 }
 
-/// A peer's connection as the host's event loop owns it.
+/// A peer's connection as the host holds it.
 struct PeerLink {
-    /// Kept so shutdown can unblock the reader thread.
+    /// Kept so a replacement, a crash or shutdown can unblock the reader.
     stream: UnixStream,
     writer: BufWriter<UnixStream>,
     stats: Arc<EdgeStats>,
     /// Distinguishes this connection from a replaced one: a stale reader's
-    /// `Detach` must not tear down the replacement.
+    /// detach must not tear down the replacement.
     generation: u64,
     /// Outbound frame sequence on this connection — the fault fabric's
     /// per-frame roll input.
     seq: u64,
-    reader: Option<JoinHandle<()>>,
 }
 
-/// One cloud server running as an event loop over byte streams.
+/// Everything a server host's lock guards: the core and the connections
+/// it replies on.
+struct HostState {
+    /// `None` while crashed (and after shutdown): readers stop serving.
+    core: Option<ServerCore<NetAddr>>,
+    /// A crashed core's durable half (store + WAL), parked until `respawn`.
+    salvage: Option<ServerCore<NetAddr>>,
+    links: HashMap<u64, PeerLink>,
+    next_generation: u64,
+}
+
+/// What a host shares with its connection readers.
+struct HostShared {
+    state: Mutex<HostState>,
+    server: ServerId,
+    /// Server-side edge stats by peer id; survives reconnects and crashes.
+    edges: Mutex<HashMap<u64, Arc<EdgeStats>>>,
+    /// Currently attached (not yet detached) connections.
+    live_peers: AtomicUsize,
+    /// The fault fabric every frame this host writes rolls against.
+    fabric: Arc<NetFabric>,
+    readers: Mutex<Vec<JoinHandle<()>>>,
+    epoch: Instant,
+    batch: usize,
+}
+
+impl HostShared {
+    fn state(&self) -> MutexGuard<'_, HostState> {
+        self.state.lock().expect("host state lock")
+    }
+
+    /// Kills the server as if its process died: every connection drops
+    /// (the readers exit on EOF), `ServerCore::crash` wipes the volatile
+    /// state, and the core (store + WAL) is parked for a later `respawn` +
+    /// `recover_from_wal`.
+    fn crash(&self, state: &mut HostState) {
+        for (_, link) in state.links.drain() {
+            let _ = link.stream.shutdown(std::net::Shutdown::Both);
+        }
+        self.live_peers.store(0, Ordering::Release);
+        if let Some(mut core) = state.core.take() {
+            core.crash();
+            self.fabric
+                .stats
+                .server_crashes
+                .fetch_add(1, Ordering::Relaxed);
+            state.salvage = Some(core);
+        }
+    }
+}
+
+/// One cloud server serving byte streams.
 ///
-/// The host owns the `ServerCore` and every connection to it. Frames are
-/// decoded by per-connection reader threads and processed in rounds
+/// The host owns the `ServerCore` and every connection to it. Each
+/// connection's reader thread decodes frames and runs the rounds itself,
 /// identical to the threaded runtime's: `ServerCore::handle_round` under
 /// one WAL group, replies coalesced per peer into one frame.
 pub struct ServerHost {
-    /// The live loop's input channel; replaced on respawn after a crash.
-    tx: Mutex<Sender<HostInput>>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-    /// Server-side edge stats by peer id; survives reconnects and crashes.
-    edges: Arc<Mutex<HashMap<u64, Arc<EdgeStats>>>>,
-    /// Currently attached (not yet detached) connections.
-    live_peers: Arc<AtomicUsize>,
-    /// The fault fabric every frame this host writes rolls against.
-    fabric: Arc<NetFabric>,
-    /// Where a crashed loop parks its core (store + WAL — the durable
-    /// state) until `respawn` picks it back up.
-    salvage: Arc<Mutex<Option<ServerCore<NetAddr>>>>,
-    epoch: Instant,
-    batch: usize,
-}
-
-/// Spawns one host event loop, returning its input channel and handle.
-fn spawn_host_loop(
-    core: ServerCore<NetAddr>,
-    epoch: Instant,
-    batch: usize,
-    edges: Arc<Mutex<HashMap<u64, Arc<EdgeStats>>>>,
-    live_peers: Arc<AtomicUsize>,
-    fabric: Arc<NetFabric>,
-    salvage: Arc<Mutex<Option<ServerCore<NetAddr>>>>,
-) -> (Sender<HostInput>, JoinHandle<()>) {
-    let (tx, rx) = unbounded::<HostInput>();
-    let loop_tx = tx.clone();
-    let handle = std::thread::spawn(move || {
-        host_loop(
-            core,
-            rx,
-            loop_tx,
-            epoch,
-            batch.max(1),
-            edges,
-            live_peers,
-            fabric,
-            salvage,
-        );
-    });
-    (tx, handle)
+    shared: Arc<HostShared>,
 }
 
 impl ServerHost {
-    /// Spawns the host's event loop around a configured core, with no
-    /// fault fabric armed (a standalone host injects no faults).
+    /// Puts a configured core in service, with no fault fabric armed (a
+    /// standalone host injects no faults). No thread runs until a
+    /// connection is attached.
     #[must_use]
     pub fn spawn(core: ServerCore<NetAddr>, epoch: Instant, batch: usize) -> ServerHost {
         Self::spawn_with_fabric(core, epoch, batch, Arc::new(NetFabric::default()))
     }
 
-    /// Spawns the host's event loop sharing the cluster's fault fabric.
+    /// Puts a core in service sharing the cluster's fault fabric.
     pub(crate) fn spawn_with_fabric(
         core: ServerCore<NetAddr>,
         epoch: Instant,
         batch: usize,
         fabric: Arc<NetFabric>,
     ) -> ServerHost {
-        let edges: Arc<Mutex<HashMap<u64, Arc<EdgeStats>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let live_peers = Arc::new(AtomicUsize::new(0));
-        let salvage: Arc<Mutex<Option<ServerCore<NetAddr>>>> = Arc::new(Mutex::new(None));
-        let (tx, handle) = spawn_host_loop(
-            core,
-            epoch,
-            batch,
-            Arc::clone(&edges),
-            Arc::clone(&live_peers),
-            Arc::clone(&fabric),
-            Arc::clone(&salvage),
-        );
         ServerHost {
-            tx: Mutex::new(tx),
-            handle: Mutex::new(Some(handle)),
-            edges,
-            live_peers,
-            fabric,
-            salvage,
-            epoch,
-            batch,
+            shared: Arc::new(HostShared {
+                server: core.id(),
+                state: Mutex::new(HostState {
+                    core: Some(core),
+                    salvage: None,
+                    links: HashMap::new(),
+                    next_generation: 0,
+                }),
+                edges: Mutex::new(HashMap::new()),
+                live_peers: AtomicUsize::new(0),
+                fabric,
+                readers: Mutex::new(Vec::new()),
+                epoch,
+                batch: batch.max(1),
+            }),
         }
     }
 
-    /// A clone of the live loop's sender.
-    fn sender(&self) -> Sender<HostInput> {
-        self.tx.lock().expect("host tx lock").clone()
-    }
-
-    /// Restarts the event loop around a recovered core. Edge stats, the
-    /// fabric and the salvage slot carry over; connections do not — the
-    /// process died, so every peer must re-attach.
+    /// Puts a recovered core back in service. Edge stats and the fabric
+    /// carry over; connections do not — the process died, so every peer
+    /// must re-attach.
     pub(crate) fn respawn(&self, core: ServerCore<NetAddr>) {
-        let (tx, handle) = spawn_host_loop(
-            core,
-            self.epoch,
-            self.batch,
-            Arc::clone(&self.edges),
-            Arc::clone(&self.live_peers),
-            Arc::clone(&self.fabric),
-            Arc::clone(&self.salvage),
-        );
-        *self.tx.lock().expect("host tx lock") = tx;
-        let old = self
-            .handle
-            .lock()
-            .expect("host handle lock")
-            .replace(handle);
-        if let Some(old) = old {
-            // The crashed loop has already exited (or is draining its
-            // links); joining here cannot block on live work.
-            let _ = old.join();
-        }
+        self.shared.state().core = Some(core);
     }
 
-    /// Kills the event loop as if the process died. The core lands in the
-    /// salvage slot once the loop unwinds; poll [`ServerHost::crashed`].
+    /// Kills the server as if its process died; the core lands in the
+    /// salvage slot before this returns.
     pub(crate) fn crash(&self) {
-        let _ = self.sender().send(HostInput::Crash);
+        self.shared.crash(&mut self.shared.state());
     }
 
-    /// True once a crashed loop has parked its core for salvage.
+    /// True once a crashed server has parked its core for salvage.
     pub(crate) fn crashed(&self) -> bool {
-        self.salvage.lock().expect("salvage lock").is_some()
+        self.shared.state().salvage.is_some()
     }
 
-    /// Takes the salvaged core of a crashed loop, if it has landed.
+    /// Takes the salvaged core of a crashed server, if any.
     pub(crate) fn take_salvaged(&self) -> Option<ServerCore<NetAddr>> {
-        self.salvage.lock().expect("salvage lock").take()
+        self.shared.state().salvage.take()
     }
 
-    /// Joins the (exited) loop thread, if any.
-    pub(crate) fn join_loop(&self) {
-        if let Some(handle) = self.handle.lock().expect("host handle lock").take() {
+    /// Joins every connection reader. Only call once their streams are
+    /// down (after a crash or during shutdown): a live reader never exits.
+    pub(crate) fn join_readers(&self) {
+        // `Drop` gets here through `close`; taking the list out is valid
+        // whatever a panicking holder of the lock left behind.
+        let readers = std::mem::take(
+            &mut *self
+                .shared
+                .readers
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for handle in readers {
             let _ = handle.join();
         }
     }
 
-    /// Hands the host protocol messages to place on the wire itself
-    /// (post-recovery coordinator inquiries). Ordered after any `attach`
-    /// already sent, so the frames go out on the new connection.
+    /// Places protocol messages the host itself must send on the wire
+    /// (post-recovery coordinator inquiries), on the connections attached
+    /// now.
     pub(crate) fn emit(&self, msgs: Vec<(NetAddr, Msg)>) {
-        let _ = self.sender().send(HostInput::Emit(msgs));
+        let mut guard = self.shared.state();
+        let state = &mut *guard;
+        if state.core.is_some()
+            && send_frames(
+                &mut state.links,
+                &self.shared.fabric,
+                self.shared.server,
+                msgs,
+            )
+        {
+            self.shared.crash(state);
+        }
     }
 
     /// Attaches (or replaces) the connection carrying peer `peer`'s
-    /// traffic. The host reads frames from it and writes replies to it;
-    /// attaching over an existing connection counts as a reconnect.
-    pub fn attach(&self, peer: u64, stream: UnixStream) {
-        let _ = self.sender().send(HostInput::Attach(peer, stream));
-    }
-
-    /// Applies a configuration closure on the event loop and waits for it.
+    /// traffic and starts its reader, which reads frames from it and runs
+    /// the rounds they make; replies go back on it. Attaching over an
+    /// existing connection counts as a reconnect. A crashed host refuses
+    /// the connection (the peer reads EOF).
     ///
     /// # Panics
     ///
-    /// Panics when the host's thread has exited.
+    /// Panics when the stream cannot be cloned.
+    pub fn attach(&self, peer: u64, stream: UnixStream) {
+        let stats = {
+            let mut edges = self.shared.edges.lock().expect("edges lock");
+            Arc::clone(edges.entry(peer).or_default())
+        };
+        let reader_stream = stream.try_clone().expect("clone unix stream");
+        let writer = BufWriter::new(stream.try_clone().expect("clone unix stream"));
+        let generation = {
+            let mut state = self.shared.state();
+            if state.core.is_none() {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                return;
+            }
+            let generation = state.next_generation;
+            state.next_generation += 1;
+            let link = PeerLink {
+                stream,
+                writer,
+                stats: Arc::clone(&stats),
+                generation,
+                seq: 0,
+            };
+            if let Some(old) = state.links.insert(peer, link) {
+                // A replaced connection: unblock its reader, which exits on
+                // EOF without detaching the replacement.
+                let _ = old.stream.shutdown(std::net::Shutdown::Both);
+                stats.note_reconnect();
+            } else {
+                self.shared.live_peers.fetch_add(1, Ordering::Release);
+            }
+            generation
+        };
+        let shared = Arc::clone(&self.shared);
+        let handle = std::thread::spawn(move || {
+            host_reader(&shared, reader_stream, peer, generation, &stats);
+        });
+        let mut readers = self.shared.readers.lock().expect("readers lock");
+        // Reap the readers of replaced and dropped connections.
+        let (done, running): (Vec<_>, Vec<_>) =
+            readers.drain(..).partition(JoinHandle::is_finished);
+        *readers = running;
+        readers.push(handle);
+        for reader in done {
+            let _ = reader.join();
+        }
+    }
+
+    /// Runs `f` on the live core under the host's lock.
+    fn with_core<R>(&self, f: impl FnOnce(&mut ServerCore<NetAddr>) -> R) -> R {
+        let mut state = self.shared.state();
+        let Some(core) = state.core.as_mut() else {
+            drop(state);
+            panic!("server host is not running (crashed or shut down)");
+        };
+        f(core)
+    }
+
+    /// Applies a configuration closure to the core, between rounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host has crashed (and not been respawned) or shut
+    /// down.
     pub fn configure(&self, f: impl FnOnce(&mut ServerCore<NetAddr>) + Send + 'static) {
-        let (done_tx, done_rx) = unbounded();
-        self.sender()
-            .send(HostInput::Configure(Box::new(f), done_tx))
-            .expect("host thread alive");
-        done_rx.recv().expect("configuration applied");
+        self.with_core(f);
     }
 
     /// How many connections are currently attached. A multi-process server
     /// can poll this to exit once its last client hangs up.
     #[must_use]
     pub fn live_peers(&self) -> usize {
-        self.live_peers.load(Ordering::Acquire)
+        self.shared.live_peers.load(Ordering::Acquire)
     }
 
     /// Server-side transport counters summed over this host's edges.
     #[must_use]
     pub fn transport_counters(&self) -> TransportCounters {
-        let edges = self.edges.lock().expect("edges lock");
+        let edges = self.shared.edges.lock().expect("edges lock");
         edges.values().map(|e| e.snapshot()).sum()
     }
 
     /// Server-side counters for one peer's edge, if it ever attached.
     #[must_use]
     pub fn edge_counters(&self, peer: u64) -> Option<TransportCounters> {
-        let edges = self.edges.lock().expect("edges lock");
+        let edges = self.shared.edges.lock().expect("edges lock");
         edges.get(&peer).map(|e| e.snapshot())
     }
 
-    /// Stops the event loop and joins it (readers included).
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
+    /// Stops serving: drops every connection and joins the readers.
+    pub fn shutdown(self) {
+        drop(self);
     }
 
-    fn shutdown_inner(&mut self) {
-        let _ = self.sender().send(HostInput::Shutdown);
-        self.join_loop();
+    /// Drops every connection and joins the readers; called from `Drop`,
+    /// so a lock poisoned by a panicking configuration closure is taken
+    /// as it is.
+    pub(crate) fn close(&self) {
+        {
+            let mut state = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            state.core = None;
+            for (_, link) in state.links.drain() {
+                let _ = link.stream.shutdown(std::net::Shutdown::Both);
+            }
+        }
+        self.shared.live_peers.store(0, Ordering::Release);
+        self.join_readers();
     }
 }
 
 impl Drop for ServerHost {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.close();
     }
 }
 
@@ -449,163 +510,64 @@ fn now_since(epoch: Instant) -> Timestamp {
     Timestamp::from_micros(epoch.elapsed().as_micros() as u64)
 }
 
-/// Spawns the reader side of one connection: frames are decoded off the
-/// stream and fed into the host's input channel; a payload that fails to
-/// decode is counted and skipped (framing survives — the next length
-/// prefix is still in phase); EOF or an I/O error reports a detach.
-fn spawn_host_reader(
+/// One connection's reader on a server: blocks for a frame, takes the
+/// complete frames already buffered behind it (up to the host's batch),
+/// and runs them as one round under the host's lock. A payload that fails
+/// to decode is counted and skipped (framing survives — the next length
+/// prefix is still in phase). EOF or an I/O error detaches the connection,
+/// unless it has been replaced meanwhile; a crash or shutdown ends the
+/// reader at its next round.
+fn host_reader(
+    host: &HostShared,
     stream: UnixStream,
     peer: u64,
     generation: u64,
-    tx: Sender<HostInput>,
-    stats: Arc<EdgeStats>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut reader = BufReader::new(stream);
-        while let Ok(Some(payload)) = read_frame(&mut reader) {
+    stats: &EdgeStats,
+) {
+    let mut reader = BufReader::new(stream);
+    'serve: loop {
+        let mut round: Vec<(NetAddr, Msg)> = Vec::new();
+        let mut frames = 0;
+        while frames == 0 || (frames < host.batch && frame_buffered(reader.buffer())) {
+            let Ok(Some(payload)) = read_frame(&mut reader) else {
+                break 'serve;
+            };
+            frames += 1;
             stats.note_received(payload.len());
             match decode_msg(&payload) {
-                Ok(msg) => {
-                    if tx.send(HostInput::Proto(NetAddr(peer), msg)).is_err() {
-                        break;
-                    }
-                }
+                Ok(msg) => round.push((NetAddr(peer), msg)),
                 Err(_) => stats.note_decode_error(),
             }
         }
-        let _ = tx.send(HostInput::Detach(peer, generation));
-    })
-}
-
-/// The server host's event loop: the socket-runtime analogue of the
-/// threaded runtime's `server_loop` (the loop is the server's single
-/// thread).
-///
-/// The loop exits in one of two ways. A `Shutdown` (or a closed channel)
-/// is a clean stop. A crash — `HostInput::Crash` from the harness, or a
-/// scheduled crash point firing inside a round — tears the loop down as
-/// if the process died: `ServerCore::crash` wipes the volatile state and
-/// the core (store + WAL, the durable half) lands in the salvage slot for
-/// a later `respawn` + `recover_from_wal`.
-#[allow(clippy::too_many_arguments)]
-fn host_loop(
-    mut core: ServerCore<NetAddr>,
-    rx: Receiver<HostInput>,
-    tx: Sender<HostInput>,
-    epoch: Instant,
-    batch: usize,
-    edges: Arc<Mutex<HashMap<u64, Arc<EdgeStats>>>>,
-    live_peers: Arc<AtomicUsize>,
-    fabric: Arc<NetFabric>,
-    salvage: Arc<Mutex<Option<ServerCore<NetAddr>>>>,
-) {
-    let server = core.id();
-    let mut links: HashMap<u64, PeerLink> = HashMap::new();
-    let mut next_generation = 0u64;
-    let crashed = 'outer: loop {
-        let Ok(first) = rx.recv() else { break false };
-        // Collect one round: up to `batch` protocol messages already
-        // queued; control inputs act as barriers exactly like the threaded
-        // runtime's.
-        let mut round: Vec<(NetAddr, Msg)> = Vec::new();
-        let mut control = None;
-        match first {
-            HostInput::Proto(from, msg) => round.push((from, msg)),
-            other => control = Some(other),
+        if round.is_empty() {
+            continue;
         }
-        while control.is_none() && round.len() < batch {
-            match rx.try_recv() {
-                Ok(HostInput::Proto(from, msg)) => round.push((from, msg)),
-                Ok(other) => control = Some(other),
-                Err(_) => break,
-            }
-        }
-        if !round.is_empty() && process_round(&mut core, epoch, round, &mut links, &fabric, server)
-        {
+        let mut guard = host.state();
+        let state = &mut *guard;
+        let Some(core) = state.core.as_mut() else {
+            return;
+        };
+        if process_round(
+            core,
+            host.epoch,
+            round,
+            &mut state.links,
+            &host.fabric,
+            host.server,
+        ) {
             // A scheduled crash point fired mid-round.
-            break 'outer true;
-        }
-        match control {
-            None => {}
-            Some(HostInput::Configure(f, done)) => {
-                f(&mut core);
-                let _ = done.send(());
-            }
-            Some(HostInput::Attach(peer, stream)) => {
-                let stats = {
-                    let mut edges = edges.lock().expect("edges lock");
-                    Arc::clone(edges.entry(peer).or_default())
-                };
-                let generation = next_generation;
-                next_generation += 1;
-                let writer_stream = stream.try_clone().expect("clone unix stream");
-                let reader = spawn_host_reader(
-                    writer_stream.try_clone().expect("clone unix stream"),
-                    peer,
-                    generation,
-                    tx.clone(),
-                    Arc::clone(&stats),
-                );
-                let link = PeerLink {
-                    stream,
-                    writer: BufWriter::new(writer_stream),
-                    stats,
-                    generation,
-                    seq: 0,
-                    reader: Some(reader),
-                };
-                if let Some(old) = links.insert(peer, link) {
-                    // A replaced connection: count the reconnect, unblock
-                    // and join the old reader.
-                    let _ = old.stream.shutdown(std::net::Shutdown::Both);
-                    if let Some(handle) = old.reader {
-                        let _ = handle.join();
-                    }
-                    links[&peer].stats.note_reconnect();
-                } else {
-                    live_peers.fetch_add(1, Ordering::Release);
-                }
-            }
-            Some(HostInput::Detach(peer, generation))
-                if links.get(&peer).is_some_and(|l| l.generation == generation) =>
-            {
-                let mut link = links.remove(&peer).expect("guard checked presence");
-                if let Some(handle) = link.reader.take() {
-                    let _ = handle.join();
-                }
-                live_peers.fetch_sub(1, Ordering::Release);
-            }
-            // A stale detach from a reader whose connection was already
-            // replaced: the link (and its new reader) stay up.
-            Some(HostInput::Detach(..)) => {}
-            // Not collapsible into a guard: `send_frames` consumes `msgs`,
-            // and match guards cannot move out of the scrutinee.
-            #[allow(clippy::collapsible_match)]
-            Some(HostInput::Emit(msgs)) => {
-                if send_frames(&mut links, &fabric, server, msgs) {
-                    break 'outer true;
-                }
-            }
-            Some(HostInput::Crash) => break 'outer true,
-            Some(HostInput::Shutdown) => break 'outer false,
-            Some(HostInput::Proto(..)) => unreachable!("proto inputs join the round"),
-        }
-    };
-    // Unblock and join every reader — on a crash this is the process's
-    // sockets dying with it.
-    for (_, mut link) in links.drain() {
-        let _ = link.stream.shutdown(std::net::Shutdown::Both);
-        if let Some(handle) = link.reader.take() {
-            let _ = handle.join();
+            host.crash(state);
+            return;
         }
     }
-    live_peers.store(0, Ordering::Release);
-    if crashed {
-        // Volatile state (locks, in-flight rounds, decided memo) is gone;
-        // the store and WAL survive for recovery.
-        core.crash();
-        fabric.stats.server_crashes.fetch_add(1, Ordering::Relaxed);
-        *salvage.lock().expect("salvage lock") = Some(core);
+    let mut state = host.state();
+    if state
+        .links
+        .get(&peer)
+        .is_some_and(|link| link.generation == generation)
+    {
+        state.links.remove(&peer);
+        host.live_peers.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -673,6 +635,11 @@ fn send_frames(
     server: ServerId,
     outputs: Vec<(NetAddr, Msg)>,
 ) -> bool {
+    let crash_after_send = |kind| {
+        fabric
+            .take_crash(server, |p| p == CrashPoint::AfterSend(kind))
+            .is_some()
+    };
     for (to, msg) in outputs {
         let Some(link) = links.get_mut(&to.0) else {
             continue;
@@ -680,11 +647,11 @@ fn send_frames(
         // Consult the crash schedule before the write (the threaded fabric
         // consumes the rule at the send), crash after it: the frame — and
         // with it the force the server already performed — escapes first.
-        let crash_after = frame_kinds(&msg).iter().any(|&kind| {
-            fabric
-                .take_crash(server, |p| p == CrashPoint::AfterSend(kind))
-                .is_some()
-        });
+        // A crash point matches any inner message of a coalesced envelope.
+        let crash_after = match &msg {
+            Msg::Batch(inner) => inner.iter().map(MsgKind::of).any(crash_after_send),
+            other => crash_after_send(MsgKind::of(other)),
+        };
         let seq = link.seq;
         link.seq += 1;
         let fate = write_through_fabric(
@@ -720,7 +687,7 @@ fn send_frames(
 struct TmLink {
     /// `None` while disconnected.
     writer: Mutex<Option<TmWriter>>,
-    stats: Arc<EdgeStats>,
+    stats: EdgeStats,
     /// Outbound frame sequence — the fault fabric's per-frame roll input.
     seq: AtomicU64,
     /// Consecutive reconnect attempts since the last healthy frame; the
@@ -732,7 +699,7 @@ impl TmLink {
     fn new() -> TmLink {
         TmLink {
             writer: Mutex::new(None),
-            stats: Arc::new(EdgeStats::default()),
+            stats: EdgeStats::default(),
             seq: AtomicU64::new(0),
             reconnect_attempts: AtomicU64::new(0),
         }
@@ -761,111 +728,271 @@ struct TmWriter {
     writer: BufWriter<UnixStream>,
 }
 
-/// Routes server→TM replies to the `execute` call driving that
-/// transaction. Readers route by the `txn` field every TM-bound reply
-/// carries; an unroutable reply is a stale straggler and is counted under
-/// the same rule the in-process runtimes apply.
-type Routes = Arc<Mutex<HashMap<u64, Sender<(ServerId, Msg)>>>>;
+/// One in-flight transaction. Whichever thread holds the lock drives the
+/// core: `execute` for the start and the reply deadline, a TM reader for
+/// each reply it decodes.
+struct TxnSlot {
+    state: Mutex<TxnState>,
+    /// Signalled when the core terminates.
+    finished: Condvar,
+}
+
+struct TxnState {
+    core: TmCore,
+    termination: Option<TxnTermination>,
+    /// When the core last stepped; the reply deadline counts from here.
+    last_step: Instant,
+}
+
+/// The TM pool as `execute`, the TM readers and the reconnect path share
+/// it.
+struct TmShared {
+    epoch: Instant,
+    /// Also the master version server: consults are answered inline from
+    /// its latest snapshot.
+    catalog: SharedCatalog,
+    /// In-process hosts (empty in `connect` mode).
+    hosts: Vec<ServerHost>,
+    links: Vec<TmLink>,
+    /// The slot of every in-flight transaction, by transaction id. Readers
+    /// route by the `txn` field every TM-bound reply carries.
+    routes: Mutex<HashMap<u64, Arc<TxnSlot>>>,
+    readers: Mutex<Vec<JoinHandle<()>>>,
+    dropped_replies: AtomicU64,
+    /// Reconnect loops that exhausted their bounded attempt budget.
+    reconnect_exhausted: AtomicU64,
+    decision_log: Mutex<Wal<CoordinatorRecord>>,
+    /// The transport fault fabric every frame (both directions) rolls
+    /// against; disabled until a plan is armed.
+    fabric: Arc<NetFabric>,
+}
+
+impl TmShared {
+    fn now(&self) -> Timestamp {
+        now_since(self.epoch)
+    }
+
+    /// Installs `stream` as link `i`'s connection (its writer goes into
+    /// `slot`, the link's held writer lock) and starts its reader.
+    fn install(
+        self: &Arc<Self>,
+        i: usize,
+        slot: &mut Option<TmWriter>,
+        stream: UnixStream,
+        reconnect: bool,
+    ) {
+        if reconnect {
+            self.links[i].stats.note_reconnect();
+        }
+        let reader_stream = stream.try_clone().expect("clone unix stream");
+        let writer_stream = stream.try_clone().expect("clone unix stream");
+        *slot = Some(TmWriter {
+            stream,
+            writer: BufWriter::new(writer_stream),
+        });
+        let tm = Arc::clone(self);
+        let from = ServerId::new(i as u64);
+        let handle = std::thread::spawn(move || tm_reader_loop(&tm, reader_stream, from));
+        self.readers.lock().expect("readers lock").push(handle);
+    }
+
+    /// Encodes and writes one frame to server `i` (through the fault
+    /// fabric) without flushing. A down link first gets a bounded,
+    /// backed-off reconnect attempt, whichever thread sends; once the
+    /// budget is exhausted the frame drops — the reply deadline is the
+    /// failure detector, and the edge presents as `ServerUnavailable`.
+    fn send_to(self: &Arc<Self>, i: usize, msg: &Msg) {
+        let mut slot = self.links[i].writer.lock().expect("link writer lock");
+        if slot.is_none() && !self.try_reconnect(i, &mut slot) {
+            return;
+        }
+        tm_write(&self.links[i], &self.fabric, i, &mut slot, msg);
+    }
+
+    /// One bounded reconnect attempt for link `i`, called with the
+    /// writer slot held and empty. In-process mode only — `connect`-mode
+    /// reconnects are driven externally — and never while the server is
+    /// crashed (restart owns that handshake).
+    fn try_reconnect(self: &Arc<Self>, i: usize, slot: &mut Option<TmWriter>) -> bool {
+        let Some(host) = self.hosts.get(i) else {
+            return false;
+        };
+        if host.crashed() {
+            return false;
+        }
+        let attempt = self.links[i]
+            .reconnect_attempts
+            .fetch_add(1, Ordering::Relaxed)
+            + 1;
+        if attempt > RECONNECT_MAX_ATTEMPTS {
+            if attempt == RECONNECT_MAX_ATTEMPTS + 1 {
+                self.reconnect_exhausted.fetch_add(1, Ordering::Relaxed);
+            }
+            return false;
+        }
+        std::thread::sleep(reconnect_backoff(attempt, i as u64));
+        let (tm_end, srv_end) = UnixStream::pair().expect("socketpair");
+        host.attach(TM_PEER, srv_end);
+        self.install(i, slot, tm_end, true);
+        true
+    }
+
+    fn flush(&self, i: usize) {
+        tm_flush(&self.links[i]);
+    }
+
+    /// Performs a core's effects on the calling thread — sends (one flush
+    /// per touched link, after the whole batch is encoded, so frames keep
+    /// their protocol order and a round's sends to one server share a
+    /// syscall), decision-log writes and the inline master consult — and
+    /// records the termination and the step time.
+    fn perform(self: &Arc<Self>, txn: &mut TxnState, mut effects: Vec<TmEffect>) {
+        loop {
+            let mut consult_master = false;
+            let mut touched: Vec<usize> = Vec::new();
+            for effect in effects {
+                match effect {
+                    TmEffect::Send(server, msg) => {
+                        let i = server.index() as usize;
+                        self.send_to(i, &msg);
+                        if !touched.contains(&i) {
+                            touched.push(i);
+                        }
+                    }
+                    TmEffect::QueryMaster => consult_master = true,
+                    TmEffect::ForceLog { record, .. } => {
+                        self.decision_log
+                            .lock()
+                            .expect("decision log lock")
+                            .force(record);
+                    }
+                    TmEffect::Log(record) => {
+                        self.decision_log
+                            .lock()
+                            .expect("decision log lock")
+                            .append(record);
+                    }
+                    TmEffect::ArmTimer(_) | TmEffect::Decided(_) => {}
+                    TmEffect::Finished(t) => txn.termination = Some(*t),
+                }
+            }
+            for i in touched {
+                self.flush(i);
+            }
+            txn.last_step = Instant::now();
+            if !consult_master || txn.termination.is_some() {
+                return;
+            }
+            let versions = self.catalog.latest_snapshot().1;
+            effects = txn
+                .core
+                .step(self.now(), TmEvent::MasterVersions { versions });
+        }
+    }
+
+    /// Steps the transaction a server→TM message belongs to, on the
+    /// calling reader thread. A message no running transaction takes is a
+    /// stale straggler, counted under the shared rule (acks never count).
+    fn deliver(self: &Arc<Self>, from: ServerId, msg: Msg) {
+        let routed = reply_txn(&msg).and_then(|txn| {
+            let routes = self.routes.lock().expect("routes lock");
+            routes.get(&txn.index()).map(|slot| (txn, Arc::clone(slot)))
+        });
+        let counted = match routed {
+            Some((txn, slot)) => {
+                let mut state = slot.state.lock().expect("txn slot lock");
+                if state.core.is_finished() {
+                    // Raced the deregistration.
+                    reply_counts_as_dropped(&msg)
+                } else {
+                    match tm_event(txn, from, msg) {
+                        Ok(event) => {
+                            let effects = state.core.step(self.now(), event);
+                            self.perform(&mut state, effects);
+                            if state.termination.is_some() {
+                                slot.finished.notify_one();
+                            }
+                            false
+                        }
+                        Err(counted) => counted,
+                    }
+                }
+            }
+            None => reply_counts_as_dropped(&msg),
+        };
+        if counted {
+            self.dropped_replies.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
 
 /// A cluster whose protocol traffic crosses real byte streams.
 ///
 /// [`NetCluster::new`] runs everything in-process over `UnixStream::pair`
-/// duplex sockets: one [`ServerHost`] event loop per server, with
-/// [`NetCluster::execute`] driving the sans-io `TmCore` from the calling
-/// thread exactly like `safetx_runtime::Cluster::execute` — same effects,
-/// same decision log, same inline master consult, same reply-deadline
-/// failure detector. [`NetCluster::connect`] instead attaches to server
-/// processes listening on filesystem sockets (the hosts then live in
-/// other processes and only the TM side runs here).
+/// duplex sockets: one [`ServerHost`] per server, with
+/// [`NetCluster::execute`] driving the sans-io `TmCore` exactly like
+/// `safetx_runtime::Cluster::execute` — same effects, same decision log,
+/// same inline master consult, same reply-deadline failure detector — but
+/// stepped by whichever thread reads the reply. [`NetCluster::connect`]
+/// instead attaches to server processes listening on filesystem sockets
+/// (the hosts then live in other processes and only the TM side runs
+/// here).
 pub struct NetCluster {
     config: ClusterConfig,
-    catalog: SharedCatalog,
     cas: SharedCas,
-    epoch: Instant,
     next_txn: AtomicU64,
-    /// In-process hosts (empty in `connect` mode).
-    hosts: Vec<ServerHost>,
-    /// Shared with the reader threads (they answer wire inquiries and
-    /// reset reconnect budgets).
-    links: Arc<Vec<TmLink>>,
-    routes: Routes,
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    dropped_replies: Arc<AtomicU64>,
     timeout_aborts: AtomicU64,
-    /// Reconnect loops that exhausted their bounded attempt budget.
-    reconnect_exhausted: AtomicU64,
-    decision_log: Arc<Mutex<Wal<CoordinatorRecord>>>,
-    /// The transport fault fabric every frame (both directions) rolls
-    /// against; disabled until a plan is armed.
-    fabric: Arc<NetFabric>,
+    tm: Arc<TmShared>,
 }
 
 /// The TM pool's logical peer id on every server's side of the wire. One
 /// pool per cluster today; additional pools would claim distinct ids.
 pub const TM_PEER: u64 = 0;
 
+/// The catalog and the certificate authorities every deployment starts
+/// from.
+fn fresh_authorities() -> (SharedCatalog, SharedCas) {
+    let mut registry = CaRegistry::new();
+    registry.register(CertificateAuthority::new(CaId::new(0), 0x7331));
+    (SharedCatalog::new(), SharedCas::new(registry))
+}
+
 impl NetCluster {
-    /// Spawns one in-process [`ServerHost`] per server and connects each
-    /// over a fresh `UnixStream` duplex pair. Shares the threaded
-    /// runtime's [`ClusterConfig`] surface: `server_batch` (and the
-    /// `SAFETX_SERVER_BATCH` fallback), `wal_sync_cost`, `reply_timeout`
-    /// and the protocol cell all mean the same thing here.
+    /// Puts one in-process [`ServerHost`] per server in service and
+    /// connects each over a fresh `UnixStream` duplex pair. Shares the
+    /// threaded runtime's [`ClusterConfig`] surface: `server_batch` (and
+    /// the `SAFETX_SERVER_BATCH` fallback), `wal_sync_cost`,
+    /// `reply_timeout` and the protocol cell all mean the same thing here.
     ///
     /// # Panics
     ///
     /// Panics when socket pairs cannot be created.
     #[must_use]
     pub fn new(config: ClusterConfig) -> Self {
-        let catalog = SharedCatalog::new();
-        let mut registry = CaRegistry::new();
-        registry.register(CertificateAuthority::new(CaId::new(0), 0x7331));
-        let cas = SharedCas::new(registry);
+        let (catalog, cas) = fresh_authorities();
         let epoch = Instant::now();
         let batch = resolve_batch(&config);
         let fabric = Arc::new(NetFabric::default());
-
-        let mut hosts = Vec::with_capacity(config.servers);
-        for i in 0..config.servers {
-            let id = ServerId::new(i as u64);
-            let mut core = ServerCore::new(
-                id,
-                catalog.clone(),
-                ResourcePolicyMap::single(PolicyId::new(0)),
-                cas.clone(),
-                config.variant,
-            );
-            if let Some(cost) = config.wal_sync_cost {
-                core.set_wal_sync_cost(cost);
-            }
-            core.set_concurrency(resolve_concurrency(&config));
-            hosts.push(ServerHost::spawn_with_fabric(
-                core,
-                epoch,
-                batch,
-                Arc::clone(&fabric),
-            ));
-        }
-
-        let links: Vec<TmLink> = (0..config.servers).map(|_| TmLink::new()).collect();
-        let cluster = NetCluster {
-            config,
-            catalog,
-            cas,
-            epoch,
-            next_txn: AtomicU64::new(0),
-            hosts,
-            links: Arc::new(links),
-            routes: Arc::new(Mutex::new(HashMap::new())),
-            readers: Mutex::new(Vec::new()),
-            dropped_replies: Arc::new(AtomicU64::new(0)),
-            timeout_aborts: AtomicU64::new(0),
-            reconnect_exhausted: AtomicU64::new(0),
-            decision_log: Arc::new(Mutex::new(Wal::new())),
-            fabric,
-        };
-        for i in 0..cluster.config.servers {
+        let hosts = (0..config.servers)
+            .map(|i| {
+                let mut core = ServerCore::new(
+                    ServerId::new(i as u64),
+                    catalog.clone(),
+                    ResourcePolicyMap::single(PolicyId::new(0)),
+                    cas.clone(),
+                    config.variant,
+                );
+                if let Some(cost) = config.wal_sync_cost {
+                    core.set_wal_sync_cost(cost);
+                }
+                core.set_concurrency(resolve_concurrency(&config));
+                ServerHost::spawn_with_fabric(core, epoch, batch, Arc::clone(&fabric))
+            })
+            .collect();
+        let cluster = Self::with_hosts(config, catalog, cas, epoch, hosts, fabric);
+        for (i, host) in cluster.tm.hosts.iter().enumerate() {
             let (tm_end, srv_end) = UnixStream::pair().expect("socketpair");
-            cluster.hosts[i].attach(TM_PEER, srv_end);
+            host.attach(TM_PEER, srv_end);
             cluster.install_tm_connection(i, tm_end, false);
         }
         cluster
@@ -885,63 +1012,68 @@ impl NetCluster {
             config.servers,
             "one stream per configured server"
         );
-        let catalog = SharedCatalog::new();
-        let mut registry = CaRegistry::new();
-        registry.register(CertificateAuthority::new(CaId::new(0), 0x7331));
-        let cas = SharedCas::new(registry);
-        let links: Vec<TmLink> = (0..config.servers).map(|_| TmLink::new()).collect();
-        let cluster = NetCluster {
-            config,
-            catalog,
-            cas,
-            epoch: Instant::now(),
-            next_txn: AtomicU64::new(0),
-            hosts: Vec::new(),
-            links: Arc::new(links),
-            routes: Arc::new(Mutex::new(HashMap::new())),
-            readers: Mutex::new(Vec::new()),
-            dropped_replies: Arc::new(AtomicU64::new(0)),
-            timeout_aborts: AtomicU64::new(0),
-            reconnect_exhausted: AtomicU64::new(0),
-            decision_log: Arc::new(Mutex::new(Wal::new())),
-            fabric: Arc::new(NetFabric::default()),
-        };
+        let (catalog, cas) = fresh_authorities();
+        let fabric = Arc::new(NetFabric::default());
+        let cluster = Self::with_hosts(config, catalog, cas, Instant::now(), Vec::new(), fabric);
         for (i, stream) in streams.into_iter().enumerate() {
             cluster.install_tm_connection(i, stream, false);
         }
         cluster
     }
 
-    /// Installs a connection on link `i`: registers the writer and spawns
-    /// the demultiplexing reader.
-    fn install_tm_connection(&self, i: usize, stream: UnixStream, reconnect: bool) {
-        let link = &self.links[i];
-        if reconnect {
-            link.stats.note_reconnect();
+    fn with_hosts(
+        config: ClusterConfig,
+        catalog: SharedCatalog,
+        cas: SharedCas,
+        epoch: Instant,
+        hosts: Vec<ServerHost>,
+        fabric: Arc<NetFabric>,
+    ) -> Self {
+        let links = (0..config.servers).map(|_| TmLink::new()).collect();
+        NetCluster {
+            config,
+            cas,
+            next_txn: AtomicU64::new(0),
+            timeout_aborts: AtomicU64::new(0),
+            tm: Arc::new(TmShared {
+                epoch,
+                catalog,
+                hosts,
+                links,
+                routes: Mutex::new(HashMap::new()),
+                readers: Mutex::new(Vec::new()),
+                dropped_replies: AtomicU64::new(0),
+                reconnect_exhausted: AtomicU64::new(0),
+                decision_log: Mutex::new(Wal::new()),
+                fabric,
+            }),
         }
-        let reader_stream = stream.try_clone().expect("clone unix stream");
-        let writer_stream = stream.try_clone().expect("clone unix stream");
-        *link.writer.lock().expect("link writer lock") = Some(TmWriter {
-            stream,
-            writer: BufWriter::new(writer_stream),
-        });
-        self.spawn_tm_reader(i, reader_stream);
     }
 
-    /// Spawns the demultiplexing reader for link `i`'s current connection.
-    fn spawn_tm_reader(&self, i: usize, stream: UnixStream) {
-        let ctx = TmReaderCtx {
-            links: Arc::clone(&self.links),
-            routes: Arc::clone(&self.routes),
-            dropped: Arc::clone(&self.dropped_replies),
-            decision_log: Arc::clone(&self.decision_log),
-            fabric: Arc::clone(&self.fabric),
-        };
-        let from = ServerId::new(i as u64);
-        let handle = std::thread::spawn(move || {
-            tm_reader_loop(stream, from, &ctx);
-        });
-        self.readers.lock().expect("readers lock").push(handle);
+    /// Installs a connection on link `i`: registers the writer and starts
+    /// its reader.
+    fn install_tm_connection(&self, i: usize, stream: UnixStream, reconnect: bool) {
+        let mut slot = self.tm.links[i].writer.lock().expect("link writer lock");
+        self.tm.install(i, &mut slot, stream, reconnect);
+    }
+
+    /// The in-process host of `server`.
+    fn host(&self, server: ServerId, unavailable: &str) -> &ServerHost {
+        self.tm
+            .hosts
+            .get(server.index() as usize)
+            .unwrap_or_else(|| panic!("in-process server host ({unavailable} in connect mode)"))
+    }
+
+    /// Closes the TM side of link `i`: sends fail fast and its reader
+    /// exits. `Drop` calls this too; taking the writer out is valid
+    /// whatever a panicking holder of the lock left behind.
+    fn sever(&self, i: usize) {
+        let link = &self.tm.links[i];
+        let mut slot = link.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(writer) = slot.take() {
+            let _ = writer.stream.shutdown(std::net::Shutdown::Both);
+        }
     }
 
     /// The configuration this cluster was built with.
@@ -954,7 +1086,7 @@ impl NetCluster {
     /// are answered inline from its latest snapshot).
     #[must_use]
     pub fn catalog(&self) -> &SharedCatalog {
-        &self.catalog
+        &self.tm.catalog
     }
 
     /// The shared certificate authorities.
@@ -966,7 +1098,7 @@ impl NetCluster {
     /// Protocol-time now (microseconds since cluster start).
     #[must_use]
     pub fn now(&self) -> Timestamp {
-        now_since(self.epoch)
+        self.tm.now()
     }
 
     /// A fresh transaction id.
@@ -980,7 +1112,7 @@ impl NetCluster {
     /// does).
     #[must_use]
     pub fn dropped_replies(&self) -> u64 {
-        self.dropped_replies.load(Ordering::Relaxed)
+        self.tm.dropped_replies.load(Ordering::Relaxed)
     }
 
     /// Failure counters: everything the transport fault fabric injected
@@ -990,9 +1122,9 @@ impl NetCluster {
     /// with no plan armed.
     #[must_use]
     pub fn fault_counters(&self) -> FaultCounters {
-        let mut counters = self.fabric.stats.snapshot();
+        let mut counters = self.tm.fabric.stats.snapshot();
         counters.timeout_aborts = self.timeout_aborts.load(Ordering::Relaxed);
-        counters.reconnect_exhausted = self.reconnect_exhausted.load(Ordering::Relaxed);
+        counters.reconnect_exhausted = self.tm.reconnect_exhausted.load(Ordering::Relaxed);
         counters
     }
 
@@ -1001,7 +1133,7 @@ impl NetCluster {
     /// crashes fire at their protocol points. Replaces any armed plan and
     /// re-arms consumed one-shot rules.
     pub fn set_fault_plan(&self, plan: NetFaultPlan) {
-        self.fabric.arm(plan);
+        self.tm.fabric.arm(plan);
     }
 
     /// Disarms the fault fabric: traffic flows clean again (accumulated
@@ -1011,48 +1143,36 @@ impl NetCluster {
     /// was exhausted mid-chaos must be reachable again (recovery and
     /// in-doubt resolution depend on it).
     pub fn clear_fault_plan(&self) {
-        self.fabric.disarm();
-        for link in self.links.iter() {
+        self.tm.fabric.disarm();
+        for link in &self.tm.links {
             link.reconnect_attempts.store(0, Ordering::Relaxed);
         }
     }
 
-    /// Kills a server's event loop as if its process died: volatile state
-    /// (locks, in-flight rounds, the decided memo) is lost, every one of
-    /// its connections drops, and in-flight frames are gone. The store and
-    /// WAL survive for [`NetCluster::restart_server`]. Blocks until the
-    /// loop has unwound.
+    /// Kills a server as if its process died: volatile state (locks,
+    /// in-flight rounds, the decided memo) is lost, every one of its
+    /// connections drops, and in-flight frames are gone. The store and WAL
+    /// survive for [`NetCluster::restart_server`]. Returns once the
+    /// server's readers have exited.
     ///
     /// # Panics
     ///
-    /// Panics when the server id is out of range, in `connect` mode, or
-    /// when the loop fails to unwind within ten seconds.
+    /// Panics when the server id is out of range or in `connect` mode.
     pub fn crash_server(&self, server: ServerId) {
-        let i = server.index() as usize;
-        let host = self
-            .hosts
-            .get(i)
-            .expect("in-process server host (crash is unavailable in connect mode)");
+        let host = self.host(server, "crash is unavailable");
         host.crash();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !host.crashed() {
-            assert!(Instant::now() < deadline, "server loop failed to unwind");
-            std::thread::yield_now();
-        }
-        host.join_loop();
+        host.join_readers();
         // The TM side of the edge is dead too; sever it so sends fail fast
         // instead of filling a kernel buffer nobody reads.
-        let link = &self.links[i];
-        if let Some(writer) = link.writer.lock().expect("link writer lock").take() {
-            let _ = writer.stream.shutdown(std::net::Shutdown::Both);
-        }
+        self.sever(server.index() as usize);
     }
 
     /// Servers that crashed (scheduled or via [`NetCluster::crash_server`])
     /// and have not been restarted.
     #[must_use]
     pub fn crashed_servers(&self) -> Vec<ServerId> {
-        self.hosts
+        self.tm
+            .hosts
             .iter()
             .enumerate()
             .filter(|(_, host)| host.crashed())
@@ -1062,8 +1182,8 @@ impl NetCluster {
 
     /// Restarts a crashed server: replays its WAL (`recover_from_wal`
     /// rebuilds the decided memo and re-acquires locks for in-doubt
-    /// transactions), respawns the event loop, reconnects the TM edge
-    /// under the server's stable peer id, and puts one wire
+    /// transactions), puts the core back in service, reconnects the TM
+    /// edge under the server's stable peer id, and puts one wire
     /// [`Msg::Inquiry`] per in-doubt transaction on the new connection —
     /// the TM-side readers answer from the decision log. The inquiries
     /// cross the real (fault-subject) wire; a quiesced
@@ -1072,29 +1192,25 @@ impl NetCluster {
     /// # Panics
     ///
     /// Panics when the server id is out of range, in `connect` mode, or
-    /// when no salvaged core appears within ten seconds.
+    /// when the server has not crashed.
     pub fn restart_server(&self, server: ServerId) {
         let i = server.index() as usize;
-        let host = self
-            .hosts
-            .get(i)
-            .expect("in-process server host (restart is unavailable in connect mode)");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut core = loop {
-            if let Some(core) = host.take_salvaged() {
-                break core;
-            }
-            assert!(Instant::now() < deadline, "no salvaged core to restart");
-            std::thread::yield_now();
-        };
-        host.join_loop();
+        let host = self.host(server, "restart is unavailable");
+        let mut core = host.take_salvaged().expect("a crashed server to restart");
+        host.join_readers();
         let in_doubt = core.recover_from_wal();
         host.respawn(core);
         let (tm_end, srv_end) = UnixStream::pair().expect("socketpair");
         host.attach(TM_PEER, srv_end);
-        self.links[i].reconnect_attempts.store(0, Ordering::Relaxed);
+        self.tm.links[i]
+            .reconnect_attempts
+            .store(0, Ordering::Relaxed);
         self.install_tm_connection(i, tm_end, true);
-        self.fabric.stats.recoveries.fetch_add(1, Ordering::Relaxed);
+        self.tm
+            .fabric
+            .stats
+            .recoveries
+            .fetch_add(1, Ordering::Relaxed);
         let inquiries: Vec<(NetAddr, Msg)> = in_doubt
             .into_iter()
             .map(|txn| {
@@ -1131,22 +1247,19 @@ impl NetCluster {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let mut outstanding = 0usize;
-            for (i, host) in self.hosts.iter().enumerate() {
+            for (i, host) in self.tm.hosts.iter().enumerate() {
                 if host.crashed() {
                     continue;
                 }
-                let (probe_tx, probe_rx) = unbounded();
-                host.configure(move |core| {
-                    let _ = probe_tx.send((core.active_txn_ids(), core.in_doubt_txns()));
-                });
-                let (active, in_doubt) = probe_rx.recv().expect("probe reply");
+                let (active, in_doubt) =
+                    host.with_core(|core| (core.active_txn_ids(), core.in_doubt_txns()));
                 let in_doubt: BTreeSet<TxnId> = in_doubt.into_iter().collect();
                 for txn in active {
                     outstanding += 1;
                     resolved.insert((i, txn));
                     let msg = if in_doubt.contains(&txn) {
                         let mut answer = {
-                            let log = self.decision_log.lock().expect("decision log lock");
+                            let log = self.tm.decision_log.lock().expect("decision log lock");
                             safetx_txn::answer_inquiry(txn, self.config.variant, log.records())
                         };
                         // Basic 2PC's blocking case (no record, no
@@ -1169,8 +1282,8 @@ impl NetCluster {
                             decision: Decision::Abort,
                         }
                     };
-                    self.send_to(i, &msg);
-                    self.flush_link(i);
+                    self.tm.send_to(i, &msg);
+                    self.tm.flush(i);
                 }
             }
             if outstanding == 0 {
@@ -1188,7 +1301,8 @@ impl NetCluster {
     /// `Log` record the TM pool wrote, in order).
     #[must_use]
     pub fn decision_log_records(&self) -> Vec<CoordinatorRecord> {
-        self.decision_log
+        self.tm
+            .decision_log
             .lock()
             .expect("decision log lock")
             .records()
@@ -1201,12 +1315,8 @@ impl NetCluster {
     #[must_use]
     pub fn wal_stats(&self) -> safetx_metrics::WalStats {
         let mut total = safetx_metrics::WalStats::default();
-        for host in &self.hosts {
-            let (tx, rx) = unbounded();
-            host.configure(move |core| {
-                let _ = tx.send(core.wal_stats());
-            });
-            total.merge(&rx.recv().expect("wal stats probe"));
+        for host in &self.tm.hosts {
+            total.merge(&host.with_core(|core| core.wal_stats()));
         }
         total
     }
@@ -1214,9 +1324,13 @@ impl NetCluster {
     /// Transport counters summed over both sides of every edge.
     #[must_use]
     pub fn transport_counters(&self) -> TransportCounters {
-        let tm: TransportCounters = self.links.iter().map(|l| l.stats.snapshot()).sum();
-        let servers: TransportCounters =
-            self.hosts.iter().map(ServerHost::transport_counters).sum();
+        let tm: TransportCounters = self.tm.links.iter().map(|l| l.stats.snapshot()).sum();
+        let servers: TransportCounters = self
+            .tm
+            .hosts
+            .iter()
+            .map(ServerHost::transport_counters)
+            .sum();
         tm + servers
     }
 
@@ -1231,8 +1345,9 @@ impl NetCluster {
     #[must_use]
     pub fn edge_counters(&self, server: ServerId) -> (TransportCounters, TransportCounters) {
         let i = server.index() as usize;
-        let tm = self.links[i].stats.snapshot();
+        let tm = self.tm.links[i].stats.snapshot();
         let srv = self
+            .tm
             .hosts
             .get(i)
             .and_then(|h| h.edge_counters(TM_PEER))
@@ -1240,8 +1355,8 @@ impl NetCluster {
         (tm, srv)
     }
 
-    /// Applies a configuration closure on a server's event loop and waits
-    /// for it (seed data, install policies, add constraints).
+    /// Applies a configuration closure to a server's core between rounds
+    /// (seed data, install policies, add constraints).
     ///
     /// # Panics
     ///
@@ -1252,30 +1367,22 @@ impl NetCluster {
         server: ServerId,
         f: impl FnOnce(&mut ServerCore<NetAddr>) + Send + 'static,
     ) {
-        let host = self
-            .hosts
-            .get(server.index() as usize)
-            .expect("in-process server host (configure is unavailable in connect mode)");
-        host.configure(f);
+        self.host(server, "configure is unavailable").configure(f);
     }
 
     /// Publishes a policy version and notifies every replica.
     pub fn publish_policy(&self, policy: safetx_policy::Policy) {
         let id = policy.id();
         let version = policy.version();
-        self.catalog.publish(policy);
-        for i in 0..self.hosts.len() {
-            self.configure_server(ServerId::new(i as u64), move |core| {
-                core.install_policy(id, version);
-            });
-        }
+        self.tm.catalog.publish(policy);
+        self.install_everywhere(id, version);
     }
 
     /// Installs a policy version at every replica without publishing a new
     /// catalog entry.
     pub fn install_everywhere(&self, policy: PolicyId, version: PolicyVersion) {
-        for i in 0..self.hosts.len() {
-            self.configure_server(ServerId::new(i as u64), move |core| {
+        for host in &self.tm.hosts {
+            host.configure(move |core| {
                 core.install_policy(policy, version);
             });
         }
@@ -1291,10 +1398,7 @@ impl NetCluster {
     ///
     /// Panics when the server id is out of range.
     pub fn disconnect_server(&self, server: ServerId) {
-        let link = &self.links[server.index() as usize];
-        if let Some(writer) = link.writer.lock().expect("link writer lock").take() {
-            let _ = writer.stream.shutdown(std::net::Shutdown::Both);
-        }
+        self.sever(server.index() as usize);
     }
 
     /// Replaces a severed connection with a fresh duplex pair under the
@@ -1306,21 +1410,20 @@ impl NetCluster {
     ///
     /// Panics when the server id is out of range or in `connect` mode.
     pub fn reconnect_server(&self, server: ServerId) {
-        let i = server.index() as usize;
-        let host = self
-            .hosts
-            .get(i)
-            .expect("in-process server host (reconnect is driven externally in connect mode)");
+        let host = self.host(server, "reconnect is driven externally");
         let (tm_end, srv_end) = UnixStream::pair().expect("socketpair");
         host.attach(TM_PEER, srv_end);
-        self.install_tm_connection(i, tm_end, true);
+        self.install_tm_connection(server.index() as usize, tm_end, true);
     }
 
     /// Executes one transaction synchronously over the wire: the same
-    /// blocking drive of the sans-io `TmCore` as the threaded runtime's
+    /// drive of the sans-io `TmCore` as the threaded runtime's
     /// `Cluster::execute`, except every send is an encoded frame and every
-    /// reply arrives off a socket, demultiplexed to this call by
-    /// transaction id.
+    /// reply arrives off a socket. This call performs only the start's
+    /// effects; the TM reader that decodes each reply steps the core and
+    /// performs the effects itself. The caller waits for the termination,
+    /// and steps the reply deadline itself when no step happens within
+    /// `reply_timeout`.
     ///
     /// # Panics
     ///
@@ -1329,205 +1432,102 @@ impl NetCluster {
     #[must_use]
     pub fn execute(&self, spec: &TransactionSpec, credentials: &[Credential]) -> ExecutionResult {
         let started = Instant::now();
-        let txn = spec.id;
-        let (reply_tx, reply_rx) = unbounded::<(ServerId, Msg)>();
-        self.routes
-            .lock()
-            .expect("routes lock")
-            .insert(txn.index(), reply_tx);
-
+        let tm = &self.tm;
         let config = TmConfig::new(
             self.config.scheme,
             self.config.consistency,
             self.config.variant,
         );
-        let mut core = TmCore::new(config, spec.clone(), credentials.to_vec(), self.now());
-        let mut termination: Option<TxnTermination> = None;
-        let reply_timeout = self.config.reply_timeout;
-
-        let mut effects = core.start(self.now());
-        loop {
-            let mut consult_master = false;
-            // Touched links flush once per effect batch, after the whole
-            // batch is encoded — frames keep their protocol order and a
-            // round's sends to one server share a syscall.
-            let mut touched: Vec<usize> = Vec::new();
-            for effect in effects {
-                match effect {
-                    TmEffect::Send(server, msg) => {
-                        let i = server.index() as usize;
-                        self.send_to(i, &msg);
-                        if !touched.contains(&i) {
-                            touched.push(i);
-                        }
-                    }
-                    TmEffect::QueryMaster => consult_master = true,
-                    TmEffect::ForceLog { record, .. } => {
-                        self.decision_log
-                            .lock()
-                            .expect("decision log lock")
-                            .force(record);
-                    }
-                    TmEffect::Log(record) => {
-                        self.decision_log
-                            .lock()
-                            .expect("decision log lock")
-                            .append(record);
-                    }
-                    TmEffect::ArmTimer(_) | TmEffect::Decided(_) => {}
-                    TmEffect::Finished(t) => termination = Some(*t),
-                }
-            }
-            for i in touched {
-                self.flush_link(i);
-            }
-            if termination.is_some() {
-                break;
-            }
-            if consult_master {
-                let versions = self.catalog.latest_snapshot().1;
-                effects = core.step(self.now(), TmEvent::MasterVersions { versions });
-                continue;
-            }
-            // One reply (readers already flattened any Batch envelope), or
-            // the deadline.
-            let input = match reply_timeout {
-                None => reply_rx.recv().ok(),
-                Some(t) => reply_rx.recv_timeout(t).ok(),
-            };
-            let event = match input {
-                None => TmEvent::ReplyTimeout,
-                Some((from, msg)) => match tm_event(txn, from, msg) {
-                    Ok(event) => event,
-                    Err(counts_as_dropped) => {
-                        if counts_as_dropped {
-                            self.dropped_replies.fetch_add(1, Ordering::Relaxed);
-                        }
-                        effects = Vec::new();
-                        continue;
-                    }
-                },
-            };
-            effects = core.step(self.now(), event);
-        }
-
-        // Deregister, then drain stragglers that raced the deregistration.
-        self.routes
+        let mut core = TmCore::new(config, spec.clone(), credentials.to_vec(), tm.now());
+        let effects = core.start(tm.now());
+        let slot = Arc::new(TxnSlot {
+            state: Mutex::new(TxnState {
+                core,
+                termination: None,
+                last_step: started,
+            }),
+            finished: Condvar::new(),
+        });
+        tm.routes
             .lock()
             .expect("routes lock")
-            .remove(&txn.index());
-        let mut driver_dropped = 0u64;
-        while let Ok((_, msg)) = reply_rx.try_recv() {
-            if reply_counts_as_dropped(&msg) {
-                driver_dropped += 1;
+            .insert(spec.id.index(), Arc::clone(&slot));
+
+        let mut state = slot.state.lock().expect("txn slot lock");
+        tm.perform(&mut state, effects);
+        while state.termination.is_none() {
+            let Some(timeout) = self.config.reply_timeout else {
+                state = slot.finished.wait(state).expect("txn slot lock");
+                continue;
+            };
+            let now = Instant::now();
+            let deadline = state.last_step + timeout;
+            if now < deadline {
+                state = slot
+                    .finished
+                    .wait_timeout(state, deadline - now)
+                    .expect("txn slot lock")
+                    .0;
+            } else {
+                let effects = state.core.step(tm.now(), TmEvent::ReplyTimeout);
+                tm.perform(&mut state, effects);
             }
         }
-        self.dropped_replies
-            .fetch_add(driver_dropped + core.dropped_replies(), Ordering::Relaxed);
+        // The core is finished: readers holding the slot count anything
+        // further as stale, so its own drop count is final.
+        let termination = state.termination.take().expect("core emitted Finished");
+        tm.dropped_replies
+            .fetch_add(state.core.dropped_replies(), Ordering::Relaxed);
+        drop(state);
+        tm.routes
+            .lock()
+            .expect("routes lock")
+            .remove(&spec.id.index());
 
-        let termination = termination.expect("core emitted Finished");
         if termination.outcome.abort_reason() == Some(AbortReason::ServerUnavailable) {
             self.timeout_aborts.fetch_add(1, Ordering::Relaxed);
         }
         ExecutionResult::from_termination(termination, started.elapsed())
     }
 
-    /// Encodes and writes one frame to server `i` (through the fault
-    /// fabric) without flushing. A down link first gets a bounded,
-    /// backed-off reconnect attempt; once the budget is exhausted the
-    /// frame drops — the reply deadline is the failure detector, and the
-    /// edge presents as `ServerUnavailable`.
-    fn send_to(&self, i: usize, msg: &Msg) {
-        {
-            let link = &self.links[i];
-            let mut slot = link.writer.lock().expect("link writer lock");
-            if slot.is_none() && !self.try_reconnect(i, &mut slot) {
-                return;
-            }
-        }
-        tm_send(&self.links, &self.fabric, i, msg);
-    }
-
-    /// One bounded reconnect attempt for link `i`, called with the
-    /// writer slot held and empty. In-process mode only — `connect`-mode
-    /// reconnects are driven externally — and never while the server is
-    /// crashed (restart owns that handshake).
-    fn try_reconnect(&self, i: usize, slot: &mut Option<TmWriter>) -> bool {
-        let Some(host) = self.hosts.get(i) else {
-            return false;
-        };
-        if host.crashed() {
-            return false;
-        }
-        let link = &self.links[i];
-        let attempt = link.reconnect_attempts.fetch_add(1, Ordering::Relaxed) + 1;
-        if attempt > RECONNECT_MAX_ATTEMPTS {
-            if attempt == RECONNECT_MAX_ATTEMPTS + 1 {
-                self.reconnect_exhausted.fetch_add(1, Ordering::Relaxed);
-            }
-            return false;
-        }
-        std::thread::sleep(reconnect_backoff(attempt, i as u64));
-        let (tm_end, srv_end) = UnixStream::pair().expect("socketpair");
-        host.attach(TM_PEER, srv_end);
-        link.stats.note_reconnect();
-        let reader_stream = tm_end.try_clone().expect("clone unix stream");
-        let writer_stream = tm_end.try_clone().expect("clone unix stream");
-        *slot = Some(TmWriter {
-            stream: tm_end,
-            writer: BufWriter::new(writer_stream),
-        });
-        self.spawn_tm_reader(i, reader_stream);
-        true
-    }
-
-    fn flush_link(&self, i: usize) {
-        tm_flush(&self.links, i);
-    }
-
     /// Stops every connection and host and joins all their threads.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        for link in self.links.iter() {
-            if let Some(writer) = link.writer.lock().expect("link writer lock").take() {
-                let _ = writer.stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-        for handle in self.readers.lock().expect("readers lock").drain(..) {
-            let _ = handle.join();
-        }
-        for host in self.hosts.drain(..) {
-            host.shutdown();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for NetCluster {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        // A reader can start another while it reconnects; sever and join
+        // until none is left.
+        loop {
+            for i in 0..self.tm.links.len() {
+                self.sever(i);
+            }
+            let readers = std::mem::take(
+                &mut *self
+                    .tm
+                    .readers
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
+            if readers.is_empty() {
+                break;
+            }
+            for handle in readers {
+                let _ = handle.join();
+            }
+        }
+        for host in &self.tm.hosts {
+            host.close();
+        }
     }
 }
 
-/// Everything a TM-side reader needs beyond its stream: the links (to
-/// write inquiry replies and reset reconnect budgets), the reply routes,
-/// and the decision log it answers wire inquiries from.
-struct TmReaderCtx {
-    links: Arc<Vec<TmLink>>,
-    routes: Routes,
-    dropped: Arc<AtomicU64>,
-    decision_log: Arc<Mutex<Wal<CoordinatorRecord>>>,
-    fabric: Arc<NetFabric>,
-}
-
-/// Writes one frame on link `i` through the fault fabric, without
-/// flushing. A missing writer is fine to ignore — the reply deadline (or
-/// the reconnect path in `NetCluster::send_to`) is the failure detector.
-fn tm_send(links: &[TmLink], fabric: &NetFabric, i: usize, msg: &Msg) {
-    let link = &links[i];
-    let mut slot = link.writer.lock().expect("link writer lock");
+/// Writes one frame on `link` through the fault fabric, without flushing.
+/// A missing writer is fine to ignore — the reply deadline (or the
+/// reconnect path in `TmShared::send_to`) is the failure detector.
+fn tm_write(link: &TmLink, fabric: &NetFabric, i: usize, slot: &mut Option<TmWriter>, msg: &Msg) {
     let Some(tm_writer) = slot.as_mut() else {
         return;
     };
@@ -1541,18 +1541,14 @@ fn tm_send(links: &[TmLink], fabric: &NetFabric, i: usize, msg: &Msg) {
         msg,
         &link.stats,
     );
-    match fate {
-        Ok(WireFate::Intact) => {}
-        Ok(WireFate::Kill) | Err(_) => {
-            let writer = slot.take().expect("writer present");
-            let _ = writer.stream.shutdown(std::net::Shutdown::Both);
-        }
+    if !matches!(fate, Ok(WireFate::Intact)) {
+        let writer = slot.take().expect("writer present");
+        let _ = writer.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
-/// Flushes link `i`'s writer, severing the connection on failure.
-fn tm_flush(links: &[TmLink], i: usize) {
-    let link = &links[i];
+/// Flushes a link's writer, severing the connection on failure.
+fn tm_flush(link: &TmLink) {
     let mut slot = link.writer.lock().expect("link writer lock");
     if let Some(tm_writer) = slot.as_mut() {
         if tm_writer.writer.flush().is_err() {
@@ -1570,9 +1566,9 @@ fn tm_flush(links: &[TmLink], i: usize) {
 /// could contradict the decision it is about to log. The quiesced
 /// [`NetCluster::resolve_in_doubt`] applies the full termination protocol
 /// once no coordinator can be in flight.
-fn answer_wire_inquiry(ctx: &TmReaderCtx, txn: TxnId, from_server: ServerId) {
+fn answer_wire_inquiry(tm: &TmShared, txn: TxnId, from_server: ServerId) {
     let decision = {
-        let log = ctx.decision_log.lock().expect("decision log lock");
+        let log = tm.decision_log.lock().expect("decision log lock");
         let found = log.records().find_map(|record| match record {
             CoordinatorRecord::Decision { txn: t, decision } if *t == txn => Some(*decision),
             _ => None,
@@ -1583,79 +1579,46 @@ fn answer_wire_inquiry(ctx: &TmReaderCtx, txn: TxnId, from_server: ServerId) {
         return;
     };
     let i = from_server.index() as usize;
-    if i >= ctx.links.len() {
+    let Some(link) = tm.links.get(i) else {
         return;
-    }
+    };
     let reply = Msg::InquiryReply {
         txn,
         answer: InquiryAnswer::Decided(decision),
     };
-    tm_send(&ctx.links, &ctx.fabric, i, &reply);
-    tm_flush(&ctx.links, i);
+    tm_write(
+        link,
+        &tm.fabric,
+        i,
+        &mut link.writer.lock().expect("link writer lock"),
+        &reply,
+    );
+    tm_flush(link);
 }
 
 /// The TM-side reader for one edge: decodes frames, flattens coalesced
-/// envelopes, answers recovery inquiries from the decision log, and
-/// routes each other inner reply to the `execute` call driving its
-/// transaction. Unroutable replies are stale stragglers, counted under
-/// the shared rule (acks never count).
-fn tm_reader_loop(stream: UnixStream, from: ServerId, ctx: &TmReaderCtx) {
-    let i = from.index() as usize;
+/// envelopes, answers recovery inquiries from the decision log, and steps
+/// the transaction each other inner reply belongs to.
+fn tm_reader_loop(tm: &Arc<TmShared>, stream: UnixStream, from: ServerId) {
+    let link = &tm.links[from.index() as usize];
     let mut reader = BufReader::new(stream);
     while let Ok(Some(payload)) = read_frame(&mut reader) {
-        ctx.links[i].stats.note_received(payload.len());
-        let msg = match decode_msg(&payload) {
-            Ok(msg) => msg,
-            Err(_) => {
-                ctx.links[i].stats.note_decode_error();
-                continue;
-            }
+        link.stats.note_received(payload.len());
+        let Ok(msg) = decode_msg(&payload) else {
+            link.stats.note_decode_error();
+            continue;
         };
         // A decoded frame proves the edge is healthy: reopen the
         // reconnect budget.
-        ctx.links[i].reconnect_attempts.store(0, Ordering::Relaxed);
+        link.reconnect_attempts.store(0, Ordering::Relaxed);
         let msgs = match msg {
             Msg::Batch(inner) => inner,
             other => vec![other],
         };
         for msg in msgs {
-            if let Msg::Inquiry { txn, from_server } = msg {
-                answer_wire_inquiry(ctx, txn, from_server);
-                continue;
-            }
-            route_reply(from, msg, &ctx.routes, &ctx.dropped);
-        }
-    }
-}
-
-/// Routes one server→TM message by its transaction id.
-fn route_reply(from: ServerId, msg: Msg, routes: &Routes, dropped: &AtomicU64) {
-    let txn = match reply_txn(&msg) {
-        Some(txn) => txn,
-        None => {
-            // Server→TM traffic always carries a transaction id; anything
-            // else is foreign and counted like any stale non-ack.
-            if reply_counts_as_dropped(&msg) {
-                dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-    };
-    let sender = {
-        let routes = routes.lock().expect("routes lock");
-        routes.get(&txn.index()).cloned()
-    };
-    match sender {
-        Some(tx) => {
-            if tx.send((from, msg)).is_err() && reply_counts_as_dropped(&Msg::Ack { txn }) {
-                // Unreachable in practice (acks never count) — kept for
-                // symmetry if the rule ever changes.
-                dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        None => {
-            if reply_counts_as_dropped(&msg) {
-                dropped.fetch_add(1, Ordering::Relaxed);
+            match msg {
+                Msg::Inquiry { txn, from_server } => answer_wire_inquiry(tm, txn, from_server),
+                msg => tm.deliver(from, msg),
             }
         }
     }

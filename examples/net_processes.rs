@@ -58,8 +58,8 @@ fn issue_member(cas: &SharedCas) -> Credential {
     })
 }
 
-/// The server role: one `ServerHost` event loop behind a filesystem
-/// socket, serving until the TM hangs up.
+/// The server role: one `ServerHost` behind a filesystem socket, serving
+/// until the TM hangs up.
 fn serve(id: u64, socket: &Path) {
     let catalog = safetx::core::SharedCatalog::new();
     let mut registry = CaRegistry::new();
